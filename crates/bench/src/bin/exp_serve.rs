@@ -26,7 +26,11 @@
 //!   composition stays a pure performance knob). This leg carries the
 //!   headline perf gate: its total `serve.forward` span time must be at
 //!   least 2x below the f32 concurrent-client leg's (the
-//!   `quant_speedup_forward` extra).
+//!   `quant_speedup_forward` extra), and its mean batch must stay above
+//!   a floor (the `batch_mean_16c_q` extra).
+//!
+//! Batching is work-conserving, so every single-submitter leg must also
+//! keep its e2e p50 within a small multiple of its forward p50.
 //!
 //! Every leg must observe at least one aging-triggered live remap and
 //! zero queue-full rejections, its wear-attribution ledger must account
@@ -44,7 +48,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use memaging::crossbar::CrossbarNetwork;
 use memaging::dataset::Dataset;
@@ -70,6 +74,17 @@ const INTERVAL: u64 = 32;
 /// Concurrent submitters on the batching legs — matches the configured
 /// `max_batch` so the dispatcher can fill whole batches under load.
 const CLIENTS: usize = 16;
+/// Ceiling on a single submitter's e2e p50 as a multiple of its forward
+/// p50. Batching is work-conserving, so a lone request's round trip is its
+/// forward (3-5 us) plus the admission and delivery hand-offs and the
+/// per-request events this bench records to two sinks (~25 us together,
+/// so 6-9x on a 2-core x86-64 box); any wait for company costs far more.
+const E2E_OVER_FORWARD_MAX: f64 = 16.0;
+/// Floor on the mean batch of the quantized 16-client leg: clients that
+/// queue while a batch is in flight must still ride together. Six runs
+/// read 7.5-10.6 (most ~10) on a 2-core x86-64 box; the floor sits below
+/// that spread and far above the 1.0 of a dispatcher that never batches.
+const BATCH_MEAN_16C_Q_FLOOR: f64 = 6.0;
 
 /// Everything one leg must reproduce bit-for-bit.
 #[derive(Debug, PartialEq)]
@@ -88,6 +103,10 @@ struct Leg {
     digest: Digest,
     elapsed_s: f64,
     latency_us: Vec<u64>,
+    /// Single-submitter legs only: each request's round trip as the client
+    /// sees it (admission → response), and its `service_us` forward time.
+    client_e2e_us: Vec<u64>,
+    forward_us: Vec<u64>,
     served: u64,
     /// Merged end-to-end latency snapshot taken just before shutdown.
     e2e: LatencySnapshot,
@@ -150,10 +169,6 @@ fn serve_config(
         // pulse), so the oracle leg below may flip this off and still
         // demand digest equality.
         delta_remap: delta,
-        // The single-submitter legs otherwise pay the full linger per
-        // request (batch size is 1 by construction); the concurrent legs
-        // fill whole batches long before this expires either way.
-        max_linger: Duration::from_micros(250),
         max_batch: CLIENTS,
         ..ServeConfig::default()
     }
@@ -211,13 +226,19 @@ fn run_leg(
     let started = Instant::now();
     let mut outputs: Vec<(u64, u64, usize, Vec<u32>)> = Vec::with_capacity(TOTAL);
     let mut latency_us: Vec<u64> = Vec::with_capacity(TOTAL);
+    let mut client_e2e_us: Vec<u64> = Vec::new();
+    let mut forward_us: Vec<u64> = Vec::new();
     if clients <= 1 {
         // Single submitter: the admission sequence IS the submission
         // sequence, so per-request outputs are comparable across legs.
         for k in 0..TOTAL {
+            let input = sample(calib, k);
+            let sent = Instant::now();
             let response = service
-                .infer(InferRequest::new(sample(calib, k)))
+                .infer(InferRequest::new(input))
                 .unwrap_or_else(|e| panic!("request {k} failed: {e}"));
+            client_e2e_us.push(sent.elapsed().as_micros() as u64);
+            forward_us.push(response.service_us);
             latency_us.push(response.queue_us + response.service_us);
             outputs.push((
                 response.seq,
@@ -359,6 +380,8 @@ fn run_leg(
         },
         elapsed_s,
         latency_us,
+        client_e2e_us,
+        forward_us,
         served: outcome.served,
         e2e,
         series_json: series.to_json(),
@@ -666,6 +689,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     summarize(&quant_scaled, &format!("{threads}t quantized"));
     summarize(&quant_batched, &format!("{threads}t x {CLIENTS}c quant"));
     summarize(&oracle, "1t full reprogram");
+    // No single submitter waits for company that cannot arrive: its e2e
+    // p50 stays within a small multiple of its forward p50.
+    let p50 = |values: &[u64]| {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        percentile(&sorted, 0.50)
+    };
+    for (leg, label) in [
+        (&reference, "1t".to_string()),
+        (&scaled, format!("{threads}t")),
+        (&quant, "1t_q".to_string()),
+        (&quant_scaled, format!("{threads}t_q")),
+        (&oracle, "1t_full".to_string()),
+    ] {
+        let (e2e, forward) = (p50(&leg.client_e2e_us), p50(&leg.forward_us));
+        report(&format!(
+            "  {label:<8} single submitter: e2e p50 {e2e} us, forward p50 {forward} us"
+        ));
+        assert!(
+            e2e as f64 <= E2E_OVER_FORWARD_MAX * forward.max(1) as f64,
+            "{label}: a single submitter's e2e p50 ({e2e} us) must stay within \
+             {E2E_OVER_FORWARD_MAX}x its forward p50 ({forward} us)"
+        );
+    }
 
     let mut profiles = Vec::new();
     for leg in [&reference, &scaled, &batched, &quant, &quant_scaled, &quant_batched, &oracle] {
@@ -710,6 +757,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if quant_1t > 0.0 { f32_1t / quant_1t } else { 0.0 },
     ));
     assert!(
+        mean_batch >= BATCH_MEAN_16C_Q_FLOOR,
+        "{CLIENTS} quantized clients must still batch together (mean batch {mean_batch:.2}, \
+         floor {BATCH_MEAN_16C_Q_FLOOR})"
+    );
+    assert!(
         quant_speedup >= 2.0,
         "batched quantized serving must spend >= 2x less forward time than per-request f32 \
          on the {CLIENTS}-client load (f32 {f32_fwd:.1} ms, quantized {quant_fwd:.1} ms, \
@@ -753,6 +805,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("forecast_tiles", forecast_tiles.len() as f64),
         ("forecast_worst_velocity", worst_trend.velocity),
         ("quant_speedup_forward", quant_speedup),
+        ("batch_mean_16c_q", mean_batch),
         ("remap_cells_skipped_frac", skipped_frac),
         ("delta_remap_speedup", delta_remap_speedup),
     ];

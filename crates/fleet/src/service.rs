@@ -37,7 +37,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use memaging_crossbar::CrossbarNetwork;
 use memaging_dataset::Dataset;
@@ -47,8 +46,7 @@ use memaging_obs::Recorder;
 use memaging_par::SlotPool;
 use memaging_serve::{
     declare_serve_histograms, dispatch_batch, form_batch, GenerationCell, InferRequest,
-    InferResponse, MappingGeneration, RequestQueue, ResponseSlot, ServeEngine, ServeError,
-    ServeStats, WorkerCtx,
+    InferResponse, MappingGeneration, RequestQueue, ServeEngine, ServeError, ServeStats, WorkerCtx,
 };
 
 use crate::config::{FleetConfig, RouterPolicy};
@@ -268,12 +266,9 @@ impl FleetService {
             let (job_tx, job_rx) = mpsc::channel::<ReplicaJob>();
             let maintenance = {
                 let generations = Arc::clone(&generations);
-                let recorder = recorder.clone();
                 std::thread::Builder::new()
                     .name(format!("memaging-fleet-maint-{r}"))
-                    .spawn(move || {
-                        replica_maintenance_loop(engine, &job_rx, &generations, &recorder)
-                    })
+                    .spawn(move || replica_maintenance_loop(engine, &job_rx, &generations))
                     .map_err(|e| ServeError::Internal { reason: e.to_string() })?
             };
             rts.push(ReplicaRt {
@@ -332,34 +327,8 @@ impl FleetService {
     ///
     /// As [`memaging_serve::InferenceService::infer`].
     pub fn infer(&self, request: InferRequest) -> Result<InferResponse, ServeError> {
-        if request.input.len() != self.input_dim {
-            return Err(ServeError::BadInput {
-                reason: format!(
-                    "expected {} input features, got {}",
-                    self.input_dim,
-                    request.input.len()
-                ),
-            });
-        }
-        if request.input.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::BadInput { reason: "non-finite input value".into() });
-        }
-        let slot = Arc::new(ResponseSlot::default());
-        let deadline = request.deadline.map(|d| Instant::now() + d);
-        let seq = match self.queue.admit(request.input, deadline, Arc::clone(&slot)) {
-            Ok(seq) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                seq
-            }
-            Err(e) => {
-                if matches!(e, ServeError::QueueFull { .. }) {
-                    self.rejected_full.fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
-        };
-        let _span = self.recorder.trace_span("serve.request", seq);
-        slot.wait()
+        let (admitted, rejected) = (&self.admitted, &self.rejected_full);
+        self.queue.submit(request, self.input_dim, admitted, rejected, &self.recorder)
     }
 
     /// Number of replicas.
@@ -635,8 +604,7 @@ fn fleet_dispatch_loop(
             publish_view(view, &reps);
         }
         let boundary_seq = (block + 1) * quantum;
-        let (batch, linger_us) =
-            form_batch(queue, first, boundary_seq, config.serve.max_batch, config.serve.max_linger);
+        let (batch, linger_us) = form_batch(queue, first, boundary_seq, config.serve.max_batch);
         let rt = &mut reps[target];
         rt.stats.latency().linger.record(0, linger_us);
         recorder.observe("serve.linger_us", linger_us as f64);
@@ -814,39 +782,11 @@ fn replica_maintenance_loop(
     mut engine: ServeEngine,
     jobs: &mpsc::Receiver<ReplicaJob>,
     generations: &GenerationCell,
-    recorder: &Recorder,
 ) -> ServeEngine {
-    let replica = engine.replica().unwrap_or(0);
     while let Ok(job) = jobs.recv() {
         match job {
             ReplicaJob::Boundary { id, interval_requests, allow_remap } => {
-                match engine.boundary(id, interval_requests) {
-                    Ok(generation) => generations.publish(generation),
-                    Err(e) => {
-                        // The router is (or will be) waiting on this
-                        // generation id: republish the previous weights
-                        // under the new id so serving continues, and raise
-                        // the alarm.
-                        recorder.alert(
-                            memaging_obs::AlertSeverity::Critical,
-                            "serve.boundary_failed",
-                            id as f64,
-                            0.0,
-                            &format!(
-                                "replica {replica} boundary {id} failed, serving stale mapping: {e}"
-                            ),
-                        );
-                        let prior =
-                            generations.current().expect("generation 0 published at deploy");
-                        generations.publish(Arc::new(MappingGeneration {
-                            id,
-                            weights: prior.weights.clone(),
-                            worst_window_fraction: prior.worst_window_fraction,
-                            total_stress: prior.total_stress,
-                            remaps: prior.remaps,
-                        }));
-                    }
-                }
+                engine.publish_boundary(id, interval_requests, generations);
                 if allow_remap {
                     // Runs *after* the publish: the sweep overlaps live
                     // traffic on the sibling replicas and this one.

@@ -1,7 +1,5 @@
 //! Serving-tier configuration.
 
-use std::time::Duration;
-
 use memaging_lifetime::WearThresholds;
 
 use crate::error::ServeError;
@@ -17,12 +15,11 @@ pub struct ServeConfig {
     /// Admission-queue capacity: a request arriving at a full queue is
     /// rejected immediately with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum requests per dispatched batch.
+    /// Maximum requests per dispatched batch. Batching is
+    /// work-conserving: the dispatcher never waits to fill a batch, it
+    /// takes up to this many of the requests already queued below the
+    /// next maintenance boundary.
     pub max_batch: usize,
-    /// How long the batcher lingers for more requests after the first one
-    /// of a batch arrives (it dispatches early once `max_batch` is
-    /// reached or a maintenance boundary is crossed).
-    pub max_linger: Duration,
     /// Maintenance-boundary interval in admitted requests: every
     /// `maintenance_interval` admissions the maintenance task accrues the
     /// interval's read-disturb wear, refreshes the published mapping
@@ -50,7 +47,7 @@ pub struct ServeConfig {
     /// paper's failure criterion denominator).
     pub tuning_budget: usize,
     /// Number of power-of-2 buckets in the serving latency histograms
-    /// (queue wait, linger, forward, end-to-end). Bucket `i` spans
+    /// (queue wait, batch formation, forward, end-to-end). Bucket `i` spans
     /// `[2^(i-1), 2^i - 1]` microseconds; 40 buckets cover up to ~12.7
     /// days. CLI flag: `--latency-buckets`.
     pub latency_buckets: usize,
@@ -87,7 +84,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 256,
             max_batch: 16,
-            max_linger: Duration::from_millis(2),
             maintenance_interval: 64,
             stress_per_read: 0.0,
             thresholds: WearThresholds::default(),

@@ -33,7 +33,7 @@ use memaging_obs::{AlertSeverity, Recorder};
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::generation::MappingGeneration;
+use crate::generation::{GenerationCell, MappingGeneration};
 use crate::stats::{ServeStats, WorstTileForecast};
 
 /// Fixed-point scale for series values: fractions are recorded in
@@ -240,6 +240,33 @@ impl ServeEngine {
         Ok(generation)
     }
 
+    /// Runs [`ServeEngine::boundary`] and publishes the generation — the
+    /// boundary step of every maintenance loop. A failed boundary degrades
+    /// to a `Critical` alert: the dispatcher is (or will be) waiting on
+    /// generation `id`, so the previous weights are republished under it
+    /// and serving continues on the stale mapping.
+    pub fn publish_boundary(&mut self, id: u64, interval_requests: u64, cell: &GenerationCell) {
+        match self.boundary(id, interval_requests) {
+            Ok(generation) => cell.publish(generation),
+            Err(e) => {
+                let who = self.replica.map_or(String::new(), |r| format!("replica {r} "));
+                self.recorder.alert(
+                    AlertSeverity::Critical,
+                    "serve.boundary_failed",
+                    id as f64,
+                    0.0,
+                    &format!("{who}boundary {id} failed, serving stale mapping: {e}"),
+                );
+                let prior = cell.current().expect("generation 0 published at deploy");
+                cell.publish(Arc::new(MappingGeneration {
+                    id,
+                    weights: prior.weights.clone(),
+                    ..*prior
+                }));
+            }
+        }
+    }
+
     /// Runs the aging-aware live remap if the last boundary armed it.
     /// Called *after* the boundary's generation is published, so the
     /// range-selection sweep overlaps live traffic; the reprogrammed
@@ -291,12 +318,6 @@ impl ServeEngine {
     pub fn force_remap(&mut self) -> bool {
         self.remap_armed = true;
         self.maybe_remap()
-    }
-
-    /// The fleet replica id this engine was deployed with (`None` for a
-    /// single-replica deployment).
-    pub fn replica(&self) -> Option<usize> {
-        self.replica
     }
 
     /// Reads back the effective hardware weights as generation `id`.

@@ -15,9 +15,11 @@
 //!   drops requests whose deadline expires before dispatch
 //!   ([`ServeError::DeadlineExceeded`]) — load shedding before the
 //!   crossbar, not after.
-//! * **Dynamic batching** ([`ServeConfig::max_batch`] /
-//!   [`ServeConfig::max_linger`]) over a `par`-backed worker pool with
-//!   persistent per-worker network contexts.
+//! * **Work-conserving batching** ([`ServeConfig::max_batch`]) over a
+//!   `par`-backed worker pool with persistent per-worker network
+//!   contexts: a lone request is dispatched the moment it is popped, and
+//!   requests that queue while a batch is in flight ride together in the
+//!   next one; the dispatcher never waits for company ([`form_batch`]).
 //! * **Aging-aware live remapping**: inference reads accrue read-disturb
 //!   wear through the device model; when the shared
 //!   [`memaging_lifetime::WearThresholds`] warn rule fires on a stale
@@ -27,8 +29,8 @@
 //! * **Observability**: request-level tracing (every span of a request's
 //!   admission → batch → forward → tile chain carries its [`TraceId`] =
 //!   admission sequence number), log-bucketed latency histograms
-//!   (queue wait / linger / forward / end-to-end, lock-free per-worker
-//!   shards), a wear-attribution ledger
+//!   (queue wait / batch formation / forward / end-to-end, lock-free
+//!   per-worker shards), a wear-attribution ledger
 //!   ([`memaging_lifetime::WearLedger`]) charging every unit of tile
 //!   stress to its cause, and the `POST /infer` + `GET /serve/stats` +
 //!   `GET /serve/latency` + `GET /wear/attribution` routes for the
@@ -69,4 +71,4 @@ pub use request::{InferRequest, InferResponse};
 pub use service::{InferenceService, ServeReport};
 pub use stats::{LatencyStats, ServeStats, WorstTileForecast};
 pub use trace::{RequestCtx, TraceId};
-pub use worker::{declare_serve_histograms, dispatch_batch, form_batch, WorkerCtx, LINGER_POLL};
+pub use worker::{declare_serve_histograms, dispatch_batch, form_batch, WorkerCtx};

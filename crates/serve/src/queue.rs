@@ -10,11 +10,14 @@
 //! timing, batching, or worker count.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use memaging_obs::Recorder;
+
 use crate::error::ServeError;
-use crate::request::InferResponse;
+use crate::request::{InferRequest, InferResponse};
 use crate::trace::RequestCtx;
 
 /// One admitted request as the dispatcher sees it.
@@ -123,6 +126,47 @@ impl RequestQueue {
         Ok(seq)
     }
 
+    /// One client's blocking round trip, shared by the single-replica
+    /// service and the fleet: validates the input against `input_dim`
+    /// (before admission, so a malformed request consumes no sequence
+    /// number), admits it — counting the admission or the queue-full
+    /// rejection — and parks on its response slot.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadInput`] for a malformed payload, else whatever
+    /// admission or dispatch answers.
+    pub fn submit(
+        &self,
+        request: InferRequest,
+        input_dim: usize,
+        admitted: &AtomicU64,
+        rejected_full: &AtomicU64,
+        recorder: &Recorder,
+    ) -> Result<InferResponse, ServeError> {
+        let features = request.input.len();
+        if features != input_dim {
+            return Err(ServeError::BadInput {
+                reason: format!("expected {input_dim} input features, got {features}"),
+            });
+        }
+        if request.input.iter().any(|v| !v.is_finite()) {
+            return Err(ServeError::BadInput { reason: "non-finite input value".into() });
+        }
+        let slot = Arc::new(ResponseSlot::default());
+        let deadline = request.deadline.map(|d| Instant::now() + d);
+        let seq = self.admit(request.input, deadline, Arc::clone(&slot)).inspect_err(|e| {
+            if matches!(e, ServeError::QueueFull { .. }) {
+                rejected_full.fetch_add(1, Ordering::Relaxed);
+            }
+        })?;
+        admitted.fetch_add(1, Ordering::Relaxed);
+        // The root span of the request's trace chain: admission → delivery,
+        // stamped with the trace id every downstream span carries.
+        let _span = recorder.trace_span("serve.request", seq);
+        slot.wait()
+    }
+
     /// Blocks until an entry is available (returning it) or the queue is
     /// closed *and* drained (returning `None`).
     pub fn pop_blocking(&self) -> Option<Entry> {
@@ -138,15 +182,16 @@ impl RequestQueue {
         }
     }
 
-    /// Non-blocking pop of the next entry, but only while its sequence
-    /// number stays below `below_seq` — the batcher's "never cross a
-    /// maintenance boundary" guard.
-    pub fn pop_if_below(&self, below_seq: u64) -> Option<Entry> {
+    /// Non-blocking drain, under one lock, of the queued entries whose
+    /// sequence numbers stay below `below_seq` — the batcher's "never
+    /// cross a maintenance boundary" guard — appending them to `batch`
+    /// until it holds `max` entries. Entries are popped in sequence order,
+    /// so the drain stops at the first one at or past the boundary.
+    pub fn drain_below(&self, below_seq: u64, max: usize, batch: &mut Vec<Entry>) {
+        let room = max.saturating_sub(batch.len());
         let mut state = self.lock();
-        match state.entries.front() {
-            Some(entry) if entry.seq < below_seq => state.entries.pop_front(),
-            _ => None,
-        }
+        let take = state.entries.iter().take(room).take_while(|e| e.seq < below_seq).count();
+        batch.extend(state.entries.drain(..take));
     }
 
     /// Total requests admitted so far (= the next sequence number).
@@ -157,11 +202,6 @@ impl RequestQueue {
     /// Current queue depth.
     pub fn depth(&self) -> usize {
         self.lock().entries.len()
-    }
-
-    /// Whether admission has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Closes admission: future [`RequestQueue::admit`] calls fail with
@@ -195,15 +235,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_below_respects_the_boundary() {
+    fn drain_below_respects_the_boundary_and_the_cap() {
         let q = RequestQueue::new(8);
-        for i in 0..3 {
+        for i in 0..4 {
             q.admit(vec![i as f32], None, Arc::new(ResponseSlot::default())).unwrap();
         }
-        assert_eq!(q.pop_if_below(2).unwrap().seq, 0);
-        assert_eq!(q.pop_if_below(2).unwrap().seq, 1);
-        assert!(q.pop_if_below(2).is_none(), "seq 2 is at the boundary");
-        assert_eq!(q.pop_if_below(3).unwrap().seq, 2);
+        let mut batch = Vec::new();
+        q.drain_below(3, 2, &mut batch);
+        assert_eq!(batch.len(), 2, "capped at max");
+        q.drain_below(3, 8, &mut batch);
+        assert_eq!(
+            batch.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            [0, 1, 2],
+            "seq 3 is at the boundary"
+        );
+        q.drain_below(4, 3, &mut batch);
+        assert_eq!(q.depth(), 1, "a full batch takes nothing");
     }
 
     #[test]

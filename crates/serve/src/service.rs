@@ -8,9 +8,11 @@
 //!   [`InferenceService::infer`]: admission control happens inline (reject
 //!   on full queue, no blocking push), then the client parks on its
 //!   response slot.
-//! * **Dispatcher** (`memaging-serve-dispatch`): pops admitted requests in
-//!   sequence order, forms batches up to `max_batch`/`max_linger` — never
-//!   across a maintenance boundary — and fans each batch out over the
+//! * **Dispatcher** (`memaging-serve-dispatch`): blocks on the queue's
+//!   condvar for the next admitted request, takes up to `max_batch` of the
+//!   requests already queued behind it — never across a maintenance
+//!   boundary, never waiting for more (work-conserving batching: a lone
+//!   request is dispatched at once) — and fans each batch out over the
 //!   `par` worker pool. Each worker keeps a persistent software-network
 //!   clone (a [`SlotPool`] slot) lazily re-synced to the batch's mapping
 //!   generation, forwards its requests one by one in `Eval` mode, and
@@ -24,8 +26,8 @@
 //!
 //! A request's output and the final hardware wear state depend only on
 //! the admission sequence (which requests, in which order) — not on the
-//! number of worker threads, batch composition, linger timing, or
-//! wall-clock anything. Per-request forwards are independent (each input
+//! number of worker threads, batch composition (which depends on how
+//! requests raced the dispatcher), or wall-clock anything. Per-request forwards are independent (each input
 //! is forwarded alone through the worker's network, whose weights come
 //! from the request's interval generation), and wear accrues per
 //! boundary from the admitted-request *count* alone. The `exp_serve`
@@ -34,7 +36,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use memaging_crossbar::CrossbarNetwork;
 use memaging_dataset::Dataset;
@@ -47,7 +48,7 @@ use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::generation::{GenerationCell, MappingGeneration};
-use crate::queue::{RequestQueue, ResponseSlot};
+use crate::queue::RequestQueue;
 use crate::request::{InferRequest, InferResponse};
 use crate::stats::ServeStats;
 use crate::worker::{dispatch_batch, form_batch, WorkerCtx};
@@ -134,10 +135,9 @@ impl InferenceService {
         let (boundary_tx, boundary_rx) = mpsc::channel::<BoundaryJob>();
         let maintenance = {
             let generations = Arc::clone(&generations);
-            let recorder = recorder.clone();
             std::thread::Builder::new()
                 .name("memaging-serve-maint".into())
-                .spawn(move || maintenance_loop(engine, &boundary_rx, &generations, &recorder))
+                .spawn(move || maintenance_loop(engine, &boundary_rx, &generations))
                 .map_err(|e| ServeError::Internal { reason: e.to_string() })?
         };
         let dispatcher = {
@@ -183,36 +183,9 @@ impl InferenceService {
     /// [`ServeError::DeadlineExceeded`] when the deadline passes before
     /// dispatch, [`ServeError::Shutdown`] after shutdown began.
     pub fn infer(&self, request: InferRequest) -> Result<InferResponse, ServeError> {
-        if request.input.len() != self.input_dim {
-            return Err(ServeError::BadInput {
-                reason: format!(
-                    "expected {} input features, got {}",
-                    self.input_dim,
-                    request.input.len()
-                ),
-            });
-        }
-        if request.input.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::BadInput { reason: "non-finite input value".into() });
-        }
-        let slot = Arc::new(ResponseSlot::default());
-        let deadline = request.deadline.map(|d| Instant::now() + d);
-        let seq = match self.queue.admit(request.input, deadline, Arc::clone(&slot)) {
-            Ok(seq) => {
-                self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                seq
-            }
-            Err(e) => {
-                if matches!(e, ServeError::QueueFull { .. }) {
-                    self.stats.rejected_full.fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
-        };
-        // The root span of the request's trace chain: admission → delivery,
-        // stamped with the trace id every downstream span carries.
-        let _span = self.recorder.trace_span("serve.request", seq);
-        slot.wait()
+        let stats = &self.stats;
+        let (admitted, rejected) = (&stats.admitted, &stats.rejected_full);
+        self.queue.submit(request, self.input_dim, admitted, rejected, &self.recorder)
     }
 
     /// Live serving statistics.
@@ -314,8 +287,7 @@ fn dispatch_loop(
         // never crosses the boundary — all its requests share one
         // generation.
         let boundary_seq = (batch_interval + 1) * interval;
-        let (batch, linger_us) =
-            form_batch(queue, first, boundary_seq, config.max_batch, config.max_linger);
+        let (batch, linger_us) = form_batch(queue, first, boundary_seq, config.max_batch);
         stats.latency().linger.record(0, linger_us);
         recorder.observe("serve.linger_us", linger_us as f64);
         // Ask maintenance for every generation up to this batch's, then
@@ -353,32 +325,9 @@ fn maintenance_loop(
     mut engine: ServeEngine,
     boundary_rx: &mpsc::Receiver<BoundaryJob>,
     generations: &GenerationCell,
-    recorder: &Recorder,
 ) -> ServeEngine {
     while let Ok(job) = boundary_rx.recv() {
-        match engine.boundary(job.id, job.interval_requests) {
-            Ok(generation) => generations.publish(generation),
-            Err(e) => {
-                // The dispatcher is (or will be) waiting on this
-                // generation id: republish the previous weights under the
-                // new id so serving continues, and raise the alarm.
-                recorder.alert(
-                    memaging_obs::AlertSeverity::Critical,
-                    "serve.boundary_failed",
-                    job.id as f64,
-                    0.0,
-                    &format!("boundary {} failed, serving stale mapping: {e}", job.id),
-                );
-                let prior = generations.current().expect("generation 0 published at deploy");
-                generations.publish(Arc::new(MappingGeneration {
-                    id: job.id,
-                    weights: prior.weights.clone(),
-                    worst_window_fraction: prior.worst_window_fraction,
-                    total_stress: prior.total_stress,
-                    remaps: prior.remaps,
-                }));
-            }
-        }
+        engine.publish_boundary(job.id, job.interval_requests, generations);
         if job.allow_remap {
             // Runs *after* the publish: the sweep overlaps live traffic.
             engine.maybe_remap();

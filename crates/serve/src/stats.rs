@@ -131,7 +131,8 @@ impl WorstTileForecast {
 pub struct LatencyStats {
     /// Admission → dispatch (recorded by the dispatcher, shard 0).
     pub queue_wait: ShardedHistogram,
-    /// Batch-formation linger per dispatched batch (dispatcher, shard 0).
+    /// Batch-formation time per dispatched batch (dispatcher, shard 0):
+    /// ≈0, since formation takes what is queued and never waits.
     pub linger: ShardedHistogram,
     /// Per-request forward pass (recorded by its worker's shard).
     pub forward: ShardedHistogram,

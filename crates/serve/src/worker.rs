@@ -1,6 +1,7 @@
 //! Batch formation and worker-pool dispatch, shared by the
 //! single-replica dispatcher ([`crate::InferenceService`]) and the fleet
-//! router (`memaging-fleet`).
+//! router (`memaging-fleet`). Batch formation is work-conserving
+//! ([`form_batch`]): it takes what is already queued and never waits.
 //!
 //! A [`WorkerCtx`] is one worker's persistent software-network clone,
 //! lazily re-synced to the `(replica, generation)` a batch is served
@@ -15,7 +16,7 @@
 //! or which replica's batch a worker context last held.
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use memaging_nn::{Mode, Network, QuantScratch, QuantizedNet};
 use memaging_obs::Recorder;
@@ -27,9 +28,6 @@ use crate::generation::MappingGeneration;
 use crate::queue::{Entry, RequestQueue};
 use crate::request::InferResponse;
 use crate::stats::ServeStats;
-
-/// Poll period while the batcher lingers for more requests.
-pub const LINGER_POLL: Duration = Duration::from_micros(100);
 
 /// Declares the serving tier's Prometheus histograms on `recorder` — the
 /// one set shared by the single-replica service and the fleet (request
@@ -89,35 +87,25 @@ impl WorkerCtx {
     }
 }
 
-/// Forms one batch starting from `first`: pops queued requests while they
-/// stay below `boundary_seq` (a batch never crosses a maintenance
-/// boundary), up to `max_batch`, lingering at most `max_linger` for more.
-/// Returns the batch and the linger time in microseconds. Both the serve
-/// dispatcher and the fleet router form batches through this exact loop,
-/// which is what makes a 1-replica fleet operation-for-operation
+/// Forms one batch starting from `first`, work-conservingly: takes every
+/// request already queued below `boundary_seq` (a batch never crosses a
+/// maintenance boundary), up to `max_batch`, under one queue lock — and
+/// never waits for more. A lone request is dispatched at once; requests
+/// that queued while the previous batch was in flight ride together.
+/// Returns the batch and its formation time in microseconds. Both the
+/// serve dispatcher and the fleet router form batches through this exact
+/// routine, which is what makes a 1-replica fleet operation-for-operation
 /// identical to the single-replica service.
 pub fn form_batch(
     queue: &RequestQueue,
     first: Entry,
     boundary_seq: u64,
     max_batch: usize,
-    max_linger: Duration,
 ) -> (Vec<Entry>, u64) {
+    let started = Instant::now();
     let mut batch = vec![first];
-    let linger_started = Instant::now();
-    let linger_until = linger_started + max_linger;
-    while batch.len() < max_batch {
-        if let Some(entry) = queue.pop_if_below(boundary_seq) {
-            batch.push(entry);
-            continue;
-        }
-        // Don't linger on an empty closed queue — drain fast.
-        if queue.is_closed() || Instant::now() >= linger_until {
-            break;
-        }
-        std::thread::sleep(LINGER_POLL);
-    }
-    (batch, linger_started.elapsed().as_micros() as u64)
+    queue.drain_below(boundary_seq, max_batch, &mut batch);
+    (batch, started.elapsed().as_micros() as u64)
 }
 
 /// Serves one formed batch of `replica` from `generation`. Expired
@@ -178,29 +166,15 @@ pub fn dispatch_batch(
         |worker| (worker, pool.lease(worker)),
         |(worker, lease), i| {
             let ctx = lease.get_or_insert_with(|| WorkerCtx::new(base, quantized));
-            let (entry, queue_us) = &live[i];
+            let entry = &live[i].0;
             let started = Instant::now();
             let result = resync(ctx, replica, generation).and_then(|()| {
                 let _span = recorder.worker_trace_span("serve.forward", *worker, entry.seq);
                 serve_one(ctx, &entry.input)
             });
             let service_us = started.elapsed().as_micros() as u64;
-            let outcome = result.map(|(output, prediction)| {
-                stats.served.fetch_add(1, Ordering::Relaxed);
-                stats.record_latency(*queue_us, service_us);
-                stats.latency().forward.record(*worker, service_us);
-                let e2e_us = entry.ctx.admitted_at.elapsed().as_micros() as u64;
-                stats.latency().e2e.record(*worker, e2e_us);
-                recorder.observe("serve.service_us", service_us as f64);
-                recorder.observe("serve.e2e_us", e2e_us as f64);
-                InferResponse {
-                    seq: entry.seq,
-                    generation: generation.id,
-                    output,
-                    prediction,
-                    queue_us: *queue_us,
-                    service_us,
-                }
+            let outcome = result.map(|output| {
+                respond(&live[i], output, service_us, *worker, generation.id, stats, recorder)
             });
             entry.slot.deliver(outcome);
         },
@@ -245,30 +219,10 @@ fn dispatch_batch_quantized(
     let service_us = started.elapsed().as_micros() as u64;
     match forwarded {
         Ok(rows) => {
-            let n = rows.len() / m;
-            for (i, (entry, queue_us)) in live.iter().enumerate() {
-                let row = &rows[i * n..(i + 1) * n];
-                let mut prediction = 0;
-                for (j, &v) in row.iter().enumerate() {
-                    if v > row[prediction] {
-                        prediction = j;
-                    }
-                }
-                stats.served.fetch_add(1, Ordering::Relaxed);
-                stats.record_latency(*queue_us, service_us);
-                stats.latency().forward.record(0, service_us);
-                let e2e_us = entry.ctx.admitted_at.elapsed().as_micros() as u64;
-                stats.latency().e2e.record(0, e2e_us);
-                recorder.observe("serve.service_us", service_us as f64);
-                recorder.observe("serve.e2e_us", e2e_us as f64);
-                entry.slot.deliver(Ok(InferResponse {
-                    seq: entry.seq,
-                    generation: generation.id,
-                    output: row.to_vec(),
-                    prediction,
-                    queue_us: *queue_us,
-                    service_us,
-                }));
+            for (request, row) in live.iter().zip(rows.chunks_exact(rows.len() / m)) {
+                let response =
+                    respond(request, row.to_vec(), service_us, 0, generation.id, stats, recorder);
+                request.0.slot.deliver(Ok(response));
             }
         }
         Err(e) => {
@@ -301,23 +255,107 @@ fn resync(
     Ok(())
 }
 
-/// Forwards one input through the worker's f32 network. The caller must
-/// have [`resync`]ed the context to the serving generation first. Quantized
-/// batches never reach this — they run fused through
-/// [`dispatch_batch_quantized`].
-fn serve_one(ctx: &mut WorkerCtx, input: &[f32]) -> Result<(Vec<f32>, usize), ServeError> {
-    let input = Tensor::from_vec(input.to_vec(), [1, input.len()])
-        .map_err(|e| ServeError::Internal { reason: e.to_string() })?;
-    let output = ctx
-        .network
-        .forward(&input, Mode::Eval)
-        .map_err(|e| ServeError::Internal { reason: e.to_string() })?
-        .into_vec();
+/// Accounts one served request — counters and latency histograms, on
+/// latency shard `shard` — and builds its response.
+fn respond(
+    (entry, queue_us): &(Entry, u64),
+    output: Vec<f32>,
+    service_us: u64,
+    shard: usize,
+    generation: u64,
+    stats: &ServeStats,
+    recorder: &Recorder,
+) -> InferResponse {
+    stats.served.fetch_add(1, Ordering::Relaxed);
+    stats.record_latency(*queue_us, service_us);
+    stats.latency().forward.record(shard, service_us);
+    let e2e_us = entry.ctx.admitted_at.elapsed().as_micros() as u64;
+    stats.latency().e2e.record(shard, e2e_us);
+    recorder.observe("serve.service_us", service_us as f64);
+    recorder.observe("serve.e2e_us", e2e_us as f64);
     let mut prediction = 0;
     for (i, &v) in output.iter().enumerate() {
         if v > output[prediction] {
             prediction = i;
         }
     }
-    Ok((output, prediction))
+    InferResponse {
+        seq: entry.seq,
+        generation,
+        output,
+        prediction,
+        queue_us: *queue_us,
+        service_us,
+    }
+}
+
+/// Forwards one input through the worker's f32 network. The caller must
+/// have [`resync`]ed the context to the serving generation first. Quantized
+/// batches never reach this — they run fused through
+/// [`dispatch_batch_quantized`].
+fn serve_one(ctx: &mut WorkerCtx, input: &[f32]) -> Result<Vec<f32>, ServeError> {
+    let input = Tensor::from_vec(input.to_vec(), [1, input.len()])
+        .map_err(|e| ServeError::Internal { reason: e.to_string() })?;
+    let output = ctx
+        .network
+        .forward(&input, Mode::Eval)
+        .map_err(|e| ServeError::Internal { reason: e.to_string() })?;
+    Ok(output.into_vec())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::queue::ResponseSlot;
+
+    fn admit(queue: &RequestQueue, n: usize) {
+        for _ in 0..n {
+            queue.admit(vec![0.0], None, Arc::new(ResponseSlot::default())).unwrap();
+        }
+    }
+
+    /// Pops the next entry, forms a batch from it, and returns its seqs.
+    fn form(queue: &RequestQueue, boundary_seq: u64, max_batch: usize) -> Vec<u64> {
+        let first = queue.pop_blocking().unwrap();
+        form_batch(queue, first, boundary_seq, max_batch).0.iter().map(|e| e.seq).collect()
+    }
+
+    #[test]
+    fn takes_the_queued_entries_below_the_boundary_up_to_max_batch() {
+        let queue = RequestQueue::new(64);
+        admit(&queue, 6);
+        assert_eq!(form(&queue, 32, 4), [0, 1, 2, 3], "capped at max_batch");
+        assert_eq!(form(&queue, 32, 4), [4, 5], "everything still queued, and nothing more");
+    }
+
+    #[test]
+    fn never_crosses_the_boundary() {
+        let queue = RequestQueue::new(64);
+        admit(&queue, 6);
+        assert_eq!(form(&queue, 3, 16), [0, 1, 2], "seq 3 opens the next interval");
+        assert_eq!(queue.depth(), 3, "the next interval's entries stay queued");
+    }
+
+    #[test]
+    fn a_lone_request_on_an_open_queue_is_dispatched_at_once() {
+        let queue = RequestQueue::new(64);
+        admit(&queue, 1);
+        let first = queue.pop_blocking().unwrap();
+        let (batch, formation_us) = form_batch(&queue, first, 32, 16);
+        assert_eq!(batch.len(), 1);
+        assert!(formation_us < 1_000, "formation waited {formation_us} us on an empty queue");
+    }
+
+    #[test]
+    fn entries_admitted_after_formation_wait_for_the_next_batch() {
+        let queue = RequestQueue::new(64);
+        admit(&queue, 2);
+        let first = queue.pop_blocking().unwrap();
+        let (batch, _) = form_batch(&queue, first, 32, 16);
+        admit(&queue, 2);
+        assert_eq!(batch.len(), 2);
+        assert_eq!(form(&queue, 32, 16), [2, 3]);
+    }
 }

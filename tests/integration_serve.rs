@@ -5,7 +5,7 @@
 //! The service keys everything hardware-visible to the request admission
 //! sequence (see `crates/serve`): interval wear, mapping generations and
 //! the live-remap decision are functions of *which requests were admitted
-//! in which order*, never of batching, linger timing or worker count. The
+//! in which order*, never of batch composition or worker count. The
 //! determinism test here replays the same admission sequence at 1, 2 and
 //! 8 threads and requires identical per-request outputs and an identical
 //! final wear state.
@@ -65,15 +65,13 @@ fn stress_per_read(spec: &DeviceSpec, aging: &ArrheniusAging, fraction: f64, rea
 fn queue_full_requests_are_rejected_not_queued() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     par::set_threads(2);
-    // Capacity 1 with a lingering batcher: the dispatcher drains at most
-    // one request per 100µs poll, so a barrier-synchronized wave of 8
-    // concurrent clients must see rejections.
-    let service = Arc::new(deploy(ServeConfig {
-        queue_capacity: 1,
-        max_batch: 8,
-        max_linger: Duration::from_millis(50),
-        ..ServeConfig::default()
-    }));
+    // Capacity 1: a request stays queued from its admission until the
+    // dispatcher wakes on the queue's condvar and pops it, and while the
+    // dispatcher forwards a batch nothing drains the slot. A
+    // barrier-synchronized wave of 8 concurrent clients must therefore
+    // find the slot taken and see rejections.
+    let service =
+        Arc::new(deploy(ServeConfig { queue_capacity: 1, max_batch: 8, ..ServeConfig::default() }));
     let calib = &trained().1;
     let clients = 8;
     let barrier = Arc::new(Barrier::new(clients));
@@ -109,13 +107,11 @@ fn queue_full_requests_are_rejected_not_queued() {
 fn expired_deadlines_are_dropped_at_dispatch() {
     let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
     par::set_threads(1);
-    // A zero deadline expires while the batcher lingers; the request is
-    // answered without ever touching a worker.
-    let service = deploy(ServeConfig {
-        max_batch: 4,
-        max_linger: Duration::from_millis(20),
-        ..ServeConfig::default()
-    });
+    // A zero deadline has already passed by the time the dispatcher pops
+    // the request (admission and dispatch are separate clock reads on
+    // separate threads); the request is answered without ever touching a
+    // worker.
+    let service = deploy(ServeConfig { max_batch: 4, ..ServeConfig::default() });
     let calib = &trained().1;
     let request = InferRequest { input: sample(calib, 0), deadline: Some(Duration::from_nanos(0)) };
     assert_eq!(service.infer(request).unwrap_err(), ServeError::DeadlineExceeded);
@@ -357,7 +353,6 @@ fn quantized_batches_replay_solo_responses_bit_for_bit() {
         maintenance_interval: 16,
         stress_per_read: stress_per_read(spec, aging, 0.55, total as u64 / 2),
         remap_drift_fraction: 0.01,
-        max_linger: Duration::from_micros(300),
         max_batch: clients,
         quantized: true,
         ..ServeConfig::default()
@@ -444,7 +439,6 @@ fn concurrent_clients_preserve_the_wear_state() {
         maintenance_interval: 16,
         stress_per_read: stress_per_read(spec, aging, 0.55, total as u64 / 2),
         remap_drift_fraction: 0.01,
-        max_linger: Duration::from_micros(300),
         ..ServeConfig::default()
     };
     let mut digests = Vec::new();
