@@ -10,6 +10,11 @@
 //! the baseline and exits `1` when any phase regressed beyond the
 //! tolerance, `2` on usage/parse errors, `0` otherwise — so CI can gate on
 //! it directly (`scripts/check.sh` does).
+//!
+//! Deterministic `extras` are held to `--extra-tolerance` (default 1e-3,
+//! relative). The wall-clock extras (`WALL_CLOCK_EXTRAS`: speedup ratios
+//! and the concurrent batch mean) fail only when they fall by more than
+//! half of the baseline.
 
 use std::path::PathBuf;
 

@@ -102,6 +102,23 @@ impl BenchProfile {
     }
 }
 
+/// Extras that are wall-clock ratios or scheduling-dependent means rather
+/// than deterministic quantities. All are higher-is-better, and the
+/// experiment binaries that emit them assert their floors; [`compare`]
+/// flags only a fall by more than [`WALL_EXTRA_REL_TOLERANCE`].
+pub const WALL_CLOCK_EXTRAS: &[&str] = &[
+    "quant_speedup_candidate",
+    "quant_speedup_forward",
+    "batch_mean_16c_q",
+    "delta_remap_speedup",
+    "fleet_scaling",
+];
+
+/// Largest relative fall [`compare`] allows a [`WALL_CLOCK_EXTRAS`] entry.
+/// A fresh run on another (or a busy) machine cannot reproduce a timing
+/// ratio to the deterministic extras' 1e-3.
+pub const WALL_EXTRA_REL_TOLERANCE: f64 = 0.5;
+
 /// Tolerances for [`compare`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffConfig {
@@ -156,6 +173,8 @@ impl fmt::Display for Regression {
 /// `extras` scalars are held to `config.extra_rel_tolerance` instead:
 /// they are deterministic, so an extra that drifts — or disappears from
 /// the candidate — is flagged (reported with an `extra:` phase prefix).
+/// The [`WALL_CLOCK_EXTRAS`] are the exception: only a fall by more than
+/// [`WALL_EXTRA_REL_TOLERANCE`] of the baseline is flagged.
 pub fn compare(
     baseline: &BenchProfile,
     candidate: &BenchProfile,
@@ -182,10 +201,18 @@ pub fn compare(
     }
     for (key, base_value) in &baseline.extras {
         let cand_value = candidate.extra(key);
+        let wall_clock = WALL_CLOCK_EXTRAS.contains(&key.as_str());
         let rel = match cand_value {
             // A vanished extra is always a regression — the candidate
             // stopped reporting a quantity the baseline pins down.
             None => f64::INFINITY,
+            Some(v) if wall_clock => {
+                if *base_value > 0.0 {
+                    ((base_value - v) / base_value).max(0.0)
+                } else {
+                    0.0
+                }
+            }
             Some(v) => {
                 let scale = base_value.abs().max(v.abs());
                 if scale == 0.0 {
@@ -195,7 +222,9 @@ pub fn compare(
                 }
             }
         };
-        if rel > config.extra_rel_tolerance {
+        let tolerance =
+            if wall_clock { WALL_EXTRA_REL_TOLERANCE } else { config.extra_rel_tolerance };
+        if rel > tolerance {
             regressions.push(Regression {
                 phase: format!("extra:{key}"),
                 baseline_ms: *base_value,
@@ -396,5 +425,34 @@ mod tests {
         // New extras in the candidate are not regressions (gates tighten
         // when the baseline is regenerated).
         assert!(compare(&vanished, &base, &DiffConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn wall_clock_extras_flag_only_a_large_fall() {
+        let base =
+            profile_with_extras(&[("delta_remap_speedup", 1.5), ("wear_ledger_entries", 72.0)]);
+        let config = DiffConfig::default();
+        // A fresh run's timing ratio moves; that alone is not a regression,
+        // and neither is a rise of any size.
+        for v in [1.0, 1.5, 9.0] {
+            let cand =
+                profile_with_extras(&[("delta_remap_speedup", v), ("wear_ledger_entries", 72.0)]);
+            assert!(compare(&base, &cand, &config).is_empty(), "speedup {v}");
+        }
+        // A fall below half the baseline is.
+        let collapsed =
+            profile_with_extras(&[("delta_remap_speedup", 0.7), ("wear_ledger_entries", 72.0)]);
+        let regressions = compare(&base, &collapsed, &config);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].phase, "extra:delta_remap_speedup");
+        // Deterministic extras next to it stay at the strict tolerance.
+        let drifted =
+            profile_with_extras(&[("delta_remap_speedup", 1.5), ("wear_ledger_entries", 73.0)]);
+        let regressions = compare(&base, &drifted, &config);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].phase, "extra:wear_ledger_entries");
+        // A vanished wall-clock extra is still a regression.
+        let vanished = profile_with_extras(&[("wear_ledger_entries", 72.0)]);
+        assert_eq!(compare(&base, &vanished, &config).len(), 1);
     }
 }

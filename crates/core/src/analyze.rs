@@ -28,11 +28,7 @@ use memaging_obs::{
     latency_detail_json, Event, LatencySnapshot, SeriesStore, ShardedHistogram,
     DEFAULT_SERIES_CAPACITY,
 };
-
-/// Fixed-point scale of the serve tier's wear series (parts-per-billion of
-/// the fresh window) — must match the engine's encoding for the forecast
-/// replay to agree with the live gauges.
-const SERIES_SCALE: f64 = 1e9;
+use memaging_serve::SERIES_SCALE;
 
 /// Knobs of one analysis pass. The defaults mirror the live tier's
 /// defaults, so analyzing a default-configured run reproduces its live
@@ -541,26 +537,13 @@ impl TraceAnalysis {
         if !trends.is_empty() {
             let _ = writeln!(out, "forecast ({} tiles fitted):", trends.len());
             for (tile, fit) in &trends {
-                match fit.sessions_to_critical {
-                    Some(k) => {
-                        let _ = writeln!(
-                            out,
-                            "  tile {tile}: window {:.4}, velocity {:+.3e}/session, \
-                             crosses critical in ~{k:.1} sessions",
-                            fit.value as f64 / SERIES_SCALE,
-                            fit.velocity / SERIES_SCALE
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "  tile {tile}: window {:.4}, velocity {:+.3e}/session, \
-                             never crosses critical",
-                            fit.value as f64 / SERIES_SCALE,
-                            fit.velocity / SERIES_SCALE
-                        );
-                    }
-                }
+                let _ = writeln!(
+                    out,
+                    "  tile {tile}: window {:.4}, velocity {:+.3e}/session, {}",
+                    fit.value as f64 / SERIES_SCALE,
+                    fit.velocity / SERIES_SCALE,
+                    crossing_text(fit.sessions_to_critical)
+                );
             }
             if let Some((tile, _)) = worst {
                 let _ = writeln!(out, "  worst tile: {tile}");
@@ -573,6 +556,16 @@ impl TraceAnalysis {
             }
         }
         out
+    }
+}
+
+/// How a tile's forecast reads in the text report. `trend` reports
+/// `Some(0.0)` for a tile already at or below critical.
+fn crossing_text(sessions_to_critical: Option<f64>) -> String {
+    match sessions_to_critical {
+        Some(k) if k <= 0.0 => "already critical".to_string(),
+        Some(k) => format!("crosses critical in ~{k:.1} sessions"),
+        None => "never crosses critical".to_string(),
     }
 }
 
@@ -987,6 +980,31 @@ mod tests {
         // 810 ppb-millions left to the 0.3 critical at 10/session ≈ 51.
         let k = fit.sessions_to_critical.unwrap();
         assert!((k - 51.0).abs() < 0.5, "sessions_to_critical {k}");
+    }
+
+    #[test]
+    fn report_says_already_critical_for_a_tile_at_critical() {
+        // A window shrinking from 0.25 to 0.20: already under the 0.3
+        // critical fraction, so the forecast is `Some(0.0)` sessions.
+        let lines: Vec<String> = (0..5u64)
+            .map(|k| {
+                format!(
+                    "{{\"type\":\"series\",\"name\":\"serve.window_fraction_ppb{{tile=0}}\",\
+                     \"seq\":{},\"value\":{}}}",
+                    k + 1,
+                    250_000_000 - 12_500_000 * k
+                )
+            })
+            .collect();
+        let analysis = analyze_lines("test", lines.iter().map(String::as_str), &opts()).unwrap();
+        let (_, worst) = analysis.forecast();
+        assert_eq!(worst.unwrap().1.sessions_to_critical, Some(0.0));
+        let report = analysis.report();
+        assert!(report.contains("tile 0: window 0.2000"), "{report}");
+        assert!(report.contains(", already critical\n"), "{report}");
+        assert!(!report.contains("crosses critical in"), "{report}");
+        assert_eq!(crossing_text(Some(12.34)), "crosses critical in ~12.3 sessions");
+        assert_eq!(crossing_text(None), "never crosses critical");
     }
 
     #[test]

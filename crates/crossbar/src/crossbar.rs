@@ -312,7 +312,7 @@ impl Crossbar {
         }
         let spec = *self.devices[0].spec();
         let aging = *self.devices[0].aging();
-        let quantizer = *self.devices[0].quantizer();
+        let quantizer = self.devices[0].quantizer();
         // Per-level stress ceilings: `limits[k]` is the largest accumulated
         // stress at which the aged upper bound still covers level `k`. The
         // `1 - 1e-9` shrink makes cells on the float boundary conservatively

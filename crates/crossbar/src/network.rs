@@ -477,8 +477,8 @@ impl CrossbarNetwork {
         self.sync_software_from_hardware()?;
         // Evaluate on the just-synced software state directly:
         // `CrossbarNetwork::evaluate` would redundantly re-read every
-        // device's conductance (a full aged-window evaluation per cell)
-        // when nothing has touched the hardware since the sync above.
+        // device's conductance and rebuild the weights when nothing has
+        // touched the hardware since the sync above.
         let post_map_accuracy = match calibration {
             Some((data, batch)) => Some(memaging_nn::evaluate(&mut self.software, data, batch)?),
             None => None,

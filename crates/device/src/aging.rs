@@ -184,8 +184,16 @@ impl ArrheniusAging {
 
 impl AgingModel for ArrheniusAging {
     fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
-        let f = self.f(spec.temperature, stress);
-        let g = self.g(spec.temperature, stress);
+        // `f` and `g` share their Arrhenius factor and stress power; both are
+        // evaluated once, in the same product order as `f`/`g`, so the result
+        // is bit-identical to calling them separately.
+        let (f, g) = if stress <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            let arrhenius = self.arrhenius_factor(spec.temperature);
+            let time = stress.powf(self.exponent_m);
+            (self.a_f * arrhenius * time, self.a_g * arrhenius * time)
+        };
         // Both bounds decrease (Fig. 4). The lower bound is floored at a
         // fraction of its fresh value — filaments conduct more with damage,
         // but resistance stays physical — and the upper bound never crosses

@@ -37,6 +37,13 @@ impl ProgramOutcome {
 /// contracts as the aged window [`AgedWindow`] shrinks, and every pulse adds
 /// power-weighted effective stress (see [`ArrheniusAging`]).
 ///
+/// The aged window is a pure function of the accumulated stress, and reads
+/// far outnumber stress changes (a tuning pass reads every cell per
+/// iteration). So each device caches its window in grid-position units and
+/// its worn-out flag, recomputed by the same expressions whenever stress
+/// changes. Every read is therefore bit-identical to evaluating the aging
+/// law afresh.
+///
 /// # Examples
 ///
 /// ```
@@ -54,7 +61,6 @@ impl ProgramOutcome {
 pub struct Memristor {
     spec: DeviceSpec,
     aging: ArrheniusAging,
-    quantizer: Quantizer,
     /// Continuous position on the fresh grid, in level units.
     position: f64,
     /// Stress from this device's own programming pulses.
@@ -62,7 +68,16 @@ pub struct Memristor {
     /// Stress absorbed from array-level thermal crosstalk.
     ambient_stress: f64,
     pulse_count: u64,
+    /// The aged window in fresh-grid position units `(lo, hi)`, cached by
+    /// [`Memristor::refresh`].
+    bounds: (f64, f64),
+    /// Fewer than 2 fresh levels inside the aged window, cached by
+    /// [`Memristor::refresh`].
+    worn_out: bool,
 }
+
+// Arrays hold one device per cell: the cached window must not grow it.
+const _: () = assert!(std::mem::size_of::<Memristor>() == 168);
 
 impl Memristor {
     /// Creates a fresh device at the middle level.
@@ -72,16 +87,29 @@ impl Memristor {
     /// Returns [`DeviceError::InvalidSpec`] if the spec is invalid.
     pub fn new(spec: DeviceSpec, aging: ArrheniusAging) -> Result<Self, DeviceError> {
         spec.validate()?;
-        let quantizer = Quantizer::from_spec(&spec)?;
-        Ok(Memristor {
+        let mut device = Memristor {
             position: (spec.levels / 2) as f64,
             spec,
             aging,
-            quantizer,
             own_stress: 0.0,
             ambient_stress: 0.0,
             pulse_count: 0,
-        })
+            bounds: (0.0, 0.0),
+            worn_out: false,
+        };
+        device.refresh();
+        Ok(device)
+    }
+
+    /// Recomputes the cached window and worn-out flag from the present
+    /// stress. Must run after every stress change.
+    fn refresh(&mut self) {
+        let w = self.aged_window();
+        let width = self.spec.level_width();
+        let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
+        let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
+        self.bounds = (lo, hi.max(lo));
+        self.worn_out = self.quantizer().levels_within(w.r_min, w.r_max) < 2;
     }
 
     /// The device spec.
@@ -90,8 +118,8 @@ impl Memristor {
     }
 
     /// The fresh-grid quantizer.
-    pub fn quantizer(&self) -> &Quantizer {
-        &self.quantizer
+    pub fn quantizer(&self) -> Quantizer {
+        Quantizer::from_valid_spec(&self.spec)
     }
 
     /// The aging model.
@@ -102,8 +130,7 @@ impl Memristor {
     /// The *stored* continuous position on the fresh grid, in level units —
     /// **not** clamped into the aged window (contrast [`Memristor::level`],
     /// which reads the effective, window-clamped state). Delta-programming
-    /// uses this to diff a device against its next target without paying
-    /// for an aged-window evaluation per cell.
+    /// uses this to diff a device against its next target level.
     pub fn grid_position(&self) -> f64 {
         self.position
     }
@@ -128,6 +155,7 @@ impl Memristor {
     pub fn absorb_ambient_stress(&mut self, delta: f64) {
         assert!(delta.is_finite() && delta >= 0.0, "ambient stress delta must be >= 0");
         self.ambient_stress += delta;
+        self.refresh();
     }
 
     /// Total programming pulses ever applied.
@@ -145,18 +173,9 @@ impl Memristor {
         self.aging.aged_window(&self.spec, self.stress())
     }
 
-    /// The window expressed in fresh-grid position units `(lo, hi)`.
-    fn position_bounds(&self) -> (f64, f64) {
-        let w = self.aged_window();
-        let width = self.spec.level_width();
-        let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
-        let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
-        (lo, hi.max(lo))
-    }
-
     /// The stored position clamped into the present aged window.
     fn effective_position(&self) -> f64 {
-        let (lo, hi) = self.position_bounds();
+        let (lo, hi) = self.bounds;
         self.position.clamp(lo, hi)
     }
 
@@ -174,18 +193,18 @@ impl Memristor {
     /// Number of fresh levels still inside the aged window.
     pub fn usable_levels(&self) -> usize {
         let w = self.aged_window();
-        self.quantizer.levels_within(w.r_min, w.r_max)
+        self.quantizer().levels_within(w.r_min, w.r_max)
     }
 
     /// `true` once fewer than 2 levels remain reachable — the device can no
     /// longer represent information.
     pub fn is_worn_out(&self) -> bool {
-        self.usable_levels() < 2
+        self.worn_out
     }
 
     /// Highest fresh-grid level whose resistance is inside the aged window.
     pub fn highest_reachable_level(&self) -> usize {
-        let (_, hi) = self.position_bounds();
+        let (_, hi) = self.bounds;
         (hi.floor() as usize).min(self.spec.levels - 1)
     }
 
@@ -193,13 +212,15 @@ impl Memristor {
     /// `direction`, saturating against the aged window. Every pulse (even an
     /// absorbed one) stresses the device.
     fn apply_pulse(&mut self, direction: i8, step_levels: f64) -> Result<(), DeviceError> {
-        if self.is_worn_out() {
+        if self.worn_out {
             return Err(DeviceError::ProgramOnDeadDevice);
         }
-        // Stress accrues at the device's *current* operating point.
+        // Stress accrues at the device's *current* operating point; the
+        // movement saturates against the window that stress leaves behind.
         self.own_stress += self.aging.stress_increment(&self.spec, self.resistance());
+        self.refresh();
         self.pulse_count += 1;
-        let (lo, hi) = self.position_bounds();
+        let (lo, hi) = self.bounds;
         let current = self.position.clamp(lo, hi);
         self.position = match direction.signum() {
             1 => (current + step_levels).min(hi),
@@ -239,9 +260,10 @@ impl Memristor {
     /// outliers present exactly like a fully-aged cell.
     pub fn force_worn_out(&mut self) {
         let mut bump = self.own_stress.max(1.0e-9);
-        while !self.is_worn_out() {
+        while !self.worn_out {
             self.own_stress += bump;
             bump *= 2.0;
+            self.refresh();
         }
     }
 
@@ -326,7 +348,7 @@ impl Memristor {
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
     pub fn program(&mut self, target: Ohms) -> Result<ProgramOutcome, DeviceError> {
-        self.program_to_level(self.quantizer.nearest_level(target))
+        self.program_to_level(self.quantizer().nearest_level(target))
     }
 
     /// Programs to the nearest level of a target conductance.

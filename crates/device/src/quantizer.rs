@@ -63,7 +63,12 @@ impl Quantizer {
     /// Returns [`DeviceError::InvalidSpec`] if the spec is invalid.
     pub fn from_spec(spec: &DeviceSpec) -> Result<Self, DeviceError> {
         spec.validate()?;
-        Quantizer::new(spec.r_min_ohms(), spec.r_max_ohms(), spec.levels)
+        Ok(Quantizer::from_valid_spec(spec))
+    }
+
+    /// [`Quantizer::from_spec`] for a spec already known to be valid.
+    pub(crate) fn from_valid_spec(spec: &DeviceSpec) -> Self {
+        Quantizer { r_min: spec.r_min, r_max: spec.r_max, levels: spec.levels }
     }
 
     /// Number of levels.
@@ -129,14 +134,34 @@ impl Quantizer {
 
     /// Number of this quantizer's levels whose resistance lies within
     /// `[lo, hi]` — the paper's "usable levels after aging" (Fig. 4).
+    ///
+    /// Level resistances ascend with the index, so the matching levels form
+    /// one contiguous run; two binary searches find its ends.
     pub fn levels_within(&self, lo: f64, hi: f64) -> usize {
-        (0..self.levels)
-            .filter(|&i| {
-                let r = self.level_resistance(i).value();
-                r >= lo - 1e-9 && r <= hi + 1e-9
-            })
-            .count()
+        let width = self.level_width();
+        let r = |i: usize| self.r_min + i as f64 * width;
+        // Negated rather than `<`, so a NaN bound matches nothing, as in a
+        // level-by-level scan.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let first = partition_point(self.levels, |i| !(r(i) >= lo - 1e-9));
+        let end = partition_point(self.levels, |i| r(i) <= hi + 1e-9);
+        end.saturating_sub(first)
     }
+}
+
+/// The first index in `0..n` at which the monotone predicate `pred` turns
+/// false (`n` if it never does).
+fn partition_point(n: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]

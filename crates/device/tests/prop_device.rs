@@ -3,6 +3,78 @@
 use memaging_device::{AgingModel, ArrheniusAging, DeviceSpec, Memristor, Ohms, Quantizer};
 use proptest::prelude::*;
 
+/// One state-changing operation on a device.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Pulse(i8),
+    Nudge(i8),
+    Program(usize),
+    /// Ambient stress, in units of the spec's pulse width.
+    Ambient(f64),
+    Drift(f64),
+    ForceWornOut,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..100, -1i8..=1, 0usize..64, 0.0f64..1.0).prop_map(|(kind, dir, level, x)| match kind {
+        0..=29 => Op::Pulse(dir),
+        30..=59 => Op::Nudge(dir),
+        60..=79 => Op::Program(level),
+        80..=89 => Op::Ambient(x * x * 2.0e3),
+        90..=98 => Op::Drift(x - 0.5),
+        _ => Op::ForceWornOut,
+    })
+}
+
+fn apply(m: &mut Memristor, op: Op) {
+    // Operations on a worn-out device fail by design; the state must still
+    // be consistent afterwards.
+    let _ = match op {
+        Op::Pulse(dir) => m.pulse(dir),
+        Op::Nudge(dir) => m.nudge(dir),
+        Op::Program(level) => m.program_to_level(level).map(|_| ()),
+        Op::Ambient(pulses) => {
+            m.absorb_ambient_stress(pulses * m.spec().pulse_width);
+            Ok(())
+        }
+        Op::Drift(delta) => {
+            m.drift_conductance(delta);
+            Ok(())
+        }
+        Op::ForceWornOut => {
+            m.force_worn_out();
+            Ok(())
+        }
+    };
+}
+
+/// The quantizer's levels inside `[lo, hi]`, counted one level at a time.
+fn naive_levels_within(q: &Quantizer, lo: f64, hi: f64) -> usize {
+    (0..q.levels())
+        .filter(|&i| {
+            let r = q.level_resistance(i).value();
+            r >= lo - 1e-9 && r <= hi + 1e-9
+        })
+        .count()
+}
+
+/// Checks every cached read of `m` against the aging law evaluated afresh
+/// from its present stress.
+fn assert_matches_fresh_evaluation(m: &Memristor) -> Result<(), TestCaseError> {
+    let spec = *m.spec();
+    let w = m.aging().aged_window(&spec, m.stress());
+    let q = Quantizer::from_spec(&spec).unwrap();
+    prop_assert_eq!(m.is_worn_out(), naive_levels_within(&q, w.r_min, w.r_max) < 2);
+    let width = spec.level_width();
+    let lo = ((w.r_min - spec.r_min) / width).max(0.0);
+    let hi = ((w.r_max - spec.r_min) / width).min((spec.levels - 1) as f64).max(lo);
+    let position = m.grid_position().clamp(lo, hi);
+    prop_assert_eq!(m.level(), (position.round() as usize).min(spec.levels - 1));
+    let r = spec.r_min + position * width;
+    prop_assert_eq!(m.resistance().value().to_bits(), r.to_bits());
+    Ok(())
+}
+
 fn arb_spec() -> impl Strategy<Value = DeviceSpec> {
     (1.0e3f64..5.0e4, 2.0f64..20.0, 2usize..65).prop_map(|(r_min, ratio, levels)| DeviceSpec {
         r_min,
@@ -136,5 +208,61 @@ proptest! {
             prop_assert!(u <= prev);
             prev = u;
         }
+    }
+
+    #[test]
+    fn cached_reads_match_a_fresh_aging_evaluation(
+        spec in arb_spec(),
+        acceleration in 0.0f64..4.0,
+        ops in proptest::collection::vec(arb_op(), 1..120),
+    ) {
+        // Up to 10^4x the default magnitudes, so sequences reach wear-out.
+        let scale = 10f64.powf(acceleration);
+        let base = ArrheniusAging::default();
+        let aging = ArrheniusAging { a_f: base.a_f * scale, a_g: base.a_g * scale, ..base };
+        let mut m = Memristor::new(spec, aging).unwrap();
+        assert_matches_fresh_evaluation(&m)?;
+        for op in ops {
+            apply(&mut m, op);
+            assert_matches_fresh_evaluation(&m)?;
+        }
+    }
+
+    #[test]
+    fn aged_window_matches_f_and_g(spec in arb_spec(), stress in 0.0f64..10.0) {
+        // `aged_window` shares one Arrhenius factor and stress power between
+        // the bounds; that must not change a bit of either.
+        let aging = ArrheniusAging::default();
+        let w = aging.aged_window(&spec, stress);
+        let r_min = (spec.r_min - aging.g(spec.temperature, stress)).max(spec.r_min * 0.1);
+        let r_max = (spec.r_max - aging.f(spec.temperature, stress)).max(r_min);
+        prop_assert_eq!(w.r_min.to_bits(), r_min.to_bits());
+        prop_assert_eq!(w.r_max.to_bits(), r_max.to_bits());
+    }
+
+    #[test]
+    fn levels_within_matches_a_level_scan(
+        spec in arb_spec(),
+        a in -0.2f64..1.2,
+        b in -0.2f64..1.2,
+        ia in 0usize..64,
+        ib in 0usize..64,
+        mode in 0u8..5,
+    ) {
+        let q = Quantizer::from_spec(&spec).unwrap();
+        let span = spec.r_max - spec.r_min;
+        let level = |i: usize| q.level_resistance(i % spec.levels).value();
+        let (lo, hi) = match mode {
+            // Arbitrary (possibly inverted or out-of-range) windows.
+            0 => (spec.r_min + a * span, spec.r_min + b * span),
+            // Windows ending exactly on levels.
+            1 => (level(ia), level(ib)),
+            // Windows ending just inside or outside the 1e-9 tolerance.
+            2 => (level(ia) - 1e-9 * (1.0 + a), level(ib) + 1e-9 * (1.0 - b)),
+            3 => (level(ia) + 2e-9 * a, level(ib) - 2e-9 * b),
+            // Windows whose tolerance-widened ends land on levels.
+            _ => (level(ia) + 1e-9, level(ib) - 1e-9),
+        };
+        prop_assert_eq!(q.levels_within(lo, hi), naive_levels_within(&q, lo, hi));
     }
 }

@@ -194,6 +194,8 @@ pub struct LifetimeResult {
     /// `true` if a maintenance session failed (genuine end of life);
     /// `false` if the simulation hit `max_sessions` while still healthy.
     pub failed: bool,
+    /// Accumulated effective stress per crossbar tile when the run ended.
+    pub final_tile_stress: Vec<f64>,
 }
 
 impl LifetimeResult {
@@ -393,6 +395,7 @@ pub fn run_lifetime_with_recorder(
                 sessions,
                 lifetime_applications: applications,
                 failed: true,
+                final_tile_stress: hw.tile_stress(),
             });
         }
     }
@@ -403,6 +406,7 @@ pub fn run_lifetime_with_recorder(
         sessions,
         lifetime_applications: applications,
         failed: false,
+        final_tile_stress: hw.tile_stress(),
     })
 }
 

@@ -103,7 +103,13 @@ mod tests {
                 worn_out_devices: 0,
             })
             .collect();
-        LifetimeResult { strategy, sessions, lifetime_applications: lifetimes, failed: true }
+        LifetimeResult {
+            strategy,
+            sessions,
+            lifetime_applications: lifetimes,
+            failed: true,
+            final_tile_stress: Vec::new(),
+        }
     }
 
     #[test]

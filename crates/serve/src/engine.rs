@@ -38,8 +38,9 @@ use crate::stats::{ServeStats, WorstTileForecast};
 
 /// Fixed-point scale for series values: fractions are recorded in
 /// parts-per-billion and stress in nanoseconds, so series folds are pure
-/// integer math (the bit-determinism contract of the series store).
-const SERIES_SCALE: f64 = 1e9;
+/// integer math (the bit-determinism contract of the series store). The
+/// offline analyzer decodes with the same constant.
+pub const SERIES_SCALE: f64 = 1e9;
 
 /// Converts a non-negative float to its fixed-point series value.
 fn to_fixed(value: f64) -> u64 {

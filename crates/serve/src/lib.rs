@@ -62,7 +62,7 @@ mod trace;
 mod worker;
 
 pub use config::ServeConfig;
-pub use engine::ServeEngine;
+pub use engine::{ServeEngine, SERIES_SCALE};
 pub use error::ServeError;
 pub use generation::{GenerationCell, MappingGeneration};
 pub use http::{infer_error_json, infer_response_json, parse_infer_input, ServeHandler};

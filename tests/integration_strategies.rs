@@ -91,3 +91,124 @@ fn accuracy_is_maintained_by_skewed_training() {
         "skewed training must roughly maintain accuracy: {base} -> {skewed}"
     );
 }
+
+/// Pins the quick scenario's lifetime pipeline to recorded bits: lifetime,
+/// per-session tuning effort and the final summed tile stress of each
+/// strategy. Digests elsewhere compare two runs of the same build; this
+/// catches any change to the simulated physics itself, however small.
+#[test]
+fn quick_lifetime_is_pinned_bit_for_bit() {
+    let mut scenario = Scenario::quick();
+    // Every strategy fails before this cap, so each run ends at a failing
+    // session and covers deploy, remaps and wear-out.
+    scenario.framework.lifetime.max_sessions = 64;
+    // Per strategy: lifetime applications, per-session
+    // (tuning_iterations, tuning_pulses) as runs `(k, (i, p))` of k
+    // sessions in a row that each took i iterations and p pulses, and the
+    // bits of the final summed tile stress.
+    type Pin = (Strategy, u64, &'static [(usize, (usize, u64))], u64);
+    let expected: [Pin; 3] = [
+        (
+            Strategy::TT,
+            31_000_000,
+            &[
+                (16, (1, 0)),
+                (1, (2, 180)),
+                (6, (1, 0)),
+                (1, (5, 916)),
+                (1, (5, 1305)),
+                (11, (1, 0)),
+                (1, (6, 2014)),
+                (17, (1, 0)),
+                (1, (5, 1164)),
+                (3, (1, 0)),
+                (1, (2, 351)),
+                (1, (1, 0)),
+                (1, (6, 1638)),
+                (1, (7, 1056)),
+                (1, (100, 3128)),
+            ],
+            0x3ff8_62d8_7290_1631,
+        ),
+        (
+            Strategy::StT,
+            26_000_000,
+            &[
+                (17, (1, 0)),
+                (1, (2, 303)),
+                (1, (4, 1438)),
+                (1, (1, 0)),
+                (1, (4, 1331)),
+                (4, (1, 0)),
+                (1, (4, 1422)),
+                (2, (1, 0)),
+                (1, (5, 1533)),
+                (1, (5, 1349)),
+                (1, (4, 994)),
+                (2, (1, 0)),
+                (1, (6, 2054)),
+                (11, (1, 0)),
+                (1, (4, 1341)),
+                (1, (4, 1239)),
+                (1, (5, 2095)),
+                (1, (5, 1639)),
+                (1, (1, 0)),
+                (1, (6, 1678)),
+                (1, (18, 5375)),
+                (1, (100, 25711)),
+            ],
+            0x3ffe_2184_5939_1819,
+        ),
+        (
+            Strategy::StAt,
+            27_500_000,
+            &[
+                (17, (1, 0)),
+                (1, (2, 303)),
+                (1, (4, 1438)),
+                (1, (1, 0)),
+                (1, (4, 1331)),
+                (4, (1, 0)),
+                (1, (4, 1422)),
+                (2, (1, 0)),
+                (1, (5, 1533)),
+                (1, (5, 1349)),
+                (1, (4, 994)),
+                (2, (1, 0)),
+                (1, (6, 2054)),
+                (11, (1, 0)),
+                (1, (4, 1341)),
+                (1, (4, 1239)),
+                (1, (5, 2095)),
+                (1, (5, 1639)),
+                (1, (1, 0)),
+                (1, (6, 1678)),
+                (1, (8, 2196)),
+                (1, (5, 1532)),
+                (1, (2, 161)),
+                (1, (3, 364)),
+                (1, (100, 15376)),
+            ],
+            0x3ffc_ecb3_8dc9_df7d,
+        ),
+    ];
+    let outcomes = scenario.run_all().unwrap();
+    assert_eq!(outcomes.len(), expected.len());
+    for (outcome, (strategy, applications, runs, stress_bits)) in outcomes.iter().zip(expected) {
+        let lifetime = &outcome.lifetime;
+        assert_eq!(outcome.strategy, strategy);
+        assert!(lifetime.failed, "{strategy:?} must fail before the session cap");
+        assert_eq!(lifetime.lifetime_applications, applications, "{strategy:?}");
+        let effort: Vec<(usize, u64)> =
+            lifetime.sessions.iter().map(|s| (s.tuning_iterations, s.tuning_pulses)).collect();
+        let want: Vec<(usize, u64)> =
+            runs.iter().flat_map(|&(k, effort)| std::iter::repeat_n(effort, k)).collect();
+        assert_eq!(effort, want, "{strategy:?} per-session (iterations, pulses)");
+        let stress: f64 = lifetime.final_tile_stress.iter().sum();
+        assert_eq!(
+            stress.to_bits(),
+            stress_bits,
+            "{strategy:?} final summed tile stress {stress:e} drifted"
+        );
+    }
+}
