@@ -21,16 +21,23 @@
 //!    candidates replay only the suffix from the cached activations
 //!    (`map.replay` spans) via [`memaging_nn::Network::forward_from`].
 //!    Eval-mode forwards are pure, so splitting the pass is exact.
-//! 3. **Quantization memoization**: the percentile weight range is derived
-//!    once per sweep (it is window-independent — see
-//!    [`crate::mapping::WeightRange`]); per candidate, the per-cell
-//!    quantize→clamp→invert chain is memoized per (estimate window, level)
-//!    — both factors take few distinct values — with the exact float
-//!    expressions of the naive path. Candidates whose simulated weight
-//!    matrices come out bit-identical (adjacent `r_max` bounds often
-//!    quantize identically at 32 levels) share one evaluation: equal
-//!    matrices evaluate to equal accuracies by determinism of the forward
-//!    pass.
+//! 3. **Sorted-breakpoint candidate build** ([`CandidateBuilder`], `map.build`
+//!    span): the percentile weight range is derived once per sweep (it is
+//!    window-independent — see [`crate::mapping::WeightRange`]), and so is
+//!    the layer's cell order by weight. The naive per-cell chain (`w → g`,
+//!    `1/g`, nearest fresh level) is monotone in the weight — clamp, the
+//!    affine map, `1/x`, `round` and `min` each are under IEEE rounding —
+//!    so per candidate at most `levels` searches over the sorted weights,
+//!    each probe evaluating the chain's own float expressions, find every
+//!    cell's level exactly (a search starts at the real-valued level
+//!    crossing, where two probes usually settle it). Each cell then takes
+//!    one of three values: its level's unclamped value, or its block
+//!    window's `r_min` / `r_max` value when the clamp bites, each computed
+//!    once per candidate by the chain's own expressions — bit-identical to
+//!    the naive path. Candidates whose simulated weight matrices come out
+//!    bit-identical (adjacent `r_max` bounds often quantize identically at
+//!    32 levels) share one evaluation: equal matrices evaluate to equal
+//!    accuracies by determinism of the forward pass.
 //! 4. **Exact-bound early exit** ([`PruneGate`]): a candidate's accuracy
 //!    pass aborts only when even acing all remaining samples provably
 //!    cannot lift it above the adoption threshold it will face in the
@@ -42,9 +49,11 @@
 //!
 //! With [`SweepParams::quantized`] set, candidate replay additionally runs
 //! on the fixed-point kernels of `memaging_tensor::quant`: each unique
-//! candidate matrix is built once as u8 codes into its distinct
-//! (window, level) value table, quantized via
-//! [`QuantizedMatrix::from_level_codes`], and evaluated with
+//! candidate matrix is built once as u8 codes into its table of distinct
+//! values (keyed by bit pattern), quantized via
+//! [`QuantizedMatrix::from_level_codes`] — or, for a matrix holding more
+//! than 256 distinct values, from the dense f32 matrix, with the same bits
+//! (counted by `mapping.coded_fallbacks`) — and evaluated with
 //! `i16×i16 → i32 → i64` accumulation through
 //! [`Network::forward_from_quantized`]. Integer accumulation is exact, so
 //! quantized selection is still bit-identical at every thread count — but
@@ -96,8 +105,8 @@ pub(crate) struct SweepParams<'a> {
     pub batch: usize,
     /// Outlier percentile for the weight-range derivation.
     pub percentile: f64,
-    /// Evaluate candidates on the fixed-point kernels (u8 level codes into
-    /// the per-(window, level) LUT, `i16×i16 → i32 → i64` accumulation)
+    /// Evaluate candidates on the fixed-point kernels (u8 codes into the
+    /// candidate's distinct-value table, `i16×i16 → i32 → i64` accumulation)
     /// instead of the f32 forward pass. Selection stays deterministic at
     /// any thread count; accuracies may differ from the f32 oracle by the
     /// quantization error bound.
@@ -175,6 +184,12 @@ pub(crate) struct EvalEngine {
     sweep_seq: u64,
     /// Arena for the serial candidate-matrix build on the driving thread.
     arena: ScratchArena,
+    /// The candidate-matrix builder and its per-sweep tables.
+    builder: CandidateBuilder,
+    /// Quantized mode: the code buffers the builder fills for the current
+    /// candidate, plus spares recycled from earlier sweeps' uniques.
+    coded: CodedMatrix,
+    coded_spare: Vec<CodedMatrix>,
 }
 
 impl EvalEngine {
@@ -185,6 +200,9 @@ impl EvalEngine {
             generation: 0,
             sweep_seq: 0,
             arena: ScratchArena::new(),
+            builder: CandidateBuilder::default(),
+            coded: CodedMatrix::default(),
+            coded_spare: Vec::new(),
         }
     }
 
@@ -220,25 +238,22 @@ impl EvalEngine {
         let prefix = self.prefix_activations(software, p, recorder)?;
         let range =
             WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
-        let quantizer = Quantizer::from_spec(p.spec)?;
-        let level_r: Vec<f64> =
-            (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
 
         // Serial build of every candidate's simulated weight matrix, with
         // bitwise deduplication: adjacent candidate bounds frequently
         // quantize to the same matrix, and equal matrices evaluate equal.
+        let build_span = recorder.span(names::MAP_BUILD);
+        self.builder.prepare(p.trained[p.layer], p.blocks, p.spec)?;
         let n_cells = p.trained[p.layer].len();
         let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
         let mut uniques: Vec<Vec<f32>> = Vec::new();
-        // In quantized mode, the coded form of each unique candidate (codes
-        // + value table, `None` for the rare >256-distinct-values fallback)
-        // and the running peak magnitude across every unique — all
-        // candidates of a sweep quantize with one *shared* step so their
-        // integer codes live on one grid and replay as sparse deltas.
-        let mut coded_uniques: Vec<Option<(Vec<u8>, Vec<f32>)>> = Vec::new();
+        // In quantized mode, the coded form of each unique candidate (`None`
+        // when it references more than 256 distinct values) and the running
+        // peak magnitude across every unique — all candidates of a sweep
+        // quantize with one *shared* step so their integer codes live on
+        // one grid and replay as sparse deltas.
+        let mut coded_uniques: Vec<Option<CodedMatrix>> = Vec::new();
         let mut sweep_peak = 0.0f64;
-        let mut codes: Vec<u8> = Vec::new();
-        let mut code_values: Vec<f32> = Vec::new();
         let mut hashes: Vec<u64> = Vec::new();
         let mut first_pos: Vec<usize> = Vec::new();
         let mut groups: Vec<Result<usize, CrossbarError>> = Vec::with_capacity(candidates.len());
@@ -252,21 +267,9 @@ impl EvalEngine {
                 }
             };
             let mut buf = self.arena.take(n_cells);
-            let coded = if p.quantized {
-                build_candidate_matrix_coded(
-                    &mapping,
-                    &quantizer,
-                    &level_r,
-                    p,
-                    &mut buf,
-                    &mut codes,
-                    &mut code_values,
-                )
-            } else {
-                build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
-                false
-            };
-            let hash = fnv1a(&buf);
+            let complete =
+                self.builder.build(&mapping, &mut buf, p.quantized.then_some(&mut self.coded));
+            let hash = hash_bits(&buf);
             let existing = hashes
                 .iter()
                 .enumerate()
@@ -278,18 +281,17 @@ impl EvalEngine {
                 }
                 None => {
                     if p.quantized {
-                        sweep_peak = sweep_peak.max(if coded {
-                            // The coded builder's value table holds exactly
-                            // the referenced values.
-                            max_abs(&code_values)
+                        sweep_peak = sweep_peak.max(if complete {
+                            // The value table holds exactly the referenced
+                            // values.
+                            max_abs(&self.coded.values)
                         } else {
                             max_abs(&buf)
                         });
-                        coded_uniques.push(if coded {
-                            Some((codes.clone(), code_values.clone()))
-                        } else {
-                            None
-                        });
+                        coded_uniques.push(complete.then(|| {
+                            let spare = self.coded_spare.pop().unwrap_or_default();
+                            std::mem::replace(&mut self.coded, spare)
+                        }));
                     }
                     groups.push(Ok(uniques.len()));
                     hashes.push(hash);
@@ -305,18 +307,26 @@ impl EvalEngine {
         let shared_step = weight_step(sweep_peak);
         let quniques: Vec<QuantizedMatrix> = coded_uniques
             .iter()
-            .enumerate()
-            .map(|(u, cd)| match cd {
-                Some((c, v)) => {
-                    QuantizedMatrix::from_level_codes_with_step(c, v, m_rows, m_cols, shared_step)
-                        .expect("codes index into their value table")
-                }
-                None => {
-                    QuantizedMatrix::from_f32_with_step(&uniques[u], m_rows, m_cols, shared_step)
-                        .expect("candidate matrix sized rows × cols")
-                }
+            .zip(&uniques)
+            .map(|(cd, matrix)| match cd {
+                Some(c) => QuantizedMatrix::from_level_codes_with_step(
+                    &c.codes,
+                    &c.values,
+                    m_rows,
+                    m_cols,
+                    shared_step,
+                )
+                .expect("codes index into their value table"),
+                None => QuantizedMatrix::from_f32_with_step(matrix, m_rows, m_cols, shared_step)
+                    .expect("candidate matrix sized rows × cols"),
             })
             .collect();
+        if p.quantized {
+            let fallbacks = coded_uniques.iter().filter(|cd| cd.is_none()).count();
+            recorder.counter("mapping.coded_fallbacks", fallbacks as u64);
+        }
+        self.coded_spare.extend(coded_uniques.into_iter().flatten());
+        drop(build_span);
 
         // Parallel evaluation of the unique matrices on the persistent
         // worker contexts, with exact-bound pruning.
@@ -382,34 +392,26 @@ impl EvalEngine {
         let range =
             WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
         let mapping = WeightMapping::from_range(range, window)?;
-        let quantizer = Quantizer::from_spec(p.spec)?;
-        let level_r: Vec<f64> =
-            (0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()).collect();
+        self.builder.prepare(p.trained[p.layer], p.blocks, p.spec)?;
         let mut buf = self.arena.take(p.trained[p.layer].len());
-        let qmat = if p.quantized {
+        let complete =
+            self.builder.build(&mapping, &mut buf, p.quantized.then_some(&mut self.coded));
+        let qmat = p.quantized.then(|| {
             let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
-            let mut codes = Vec::new();
-            let mut code_values = Vec::new();
-            let coded = build_candidate_matrix_coded(
-                &mapping,
-                &quantizer,
-                &level_r,
-                p,
-                &mut buf,
-                &mut codes,
-                &mut code_values,
-            );
-            Some(if coded {
-                QuantizedMatrix::from_level_codes(&codes, &code_values, m_rows, m_cols)
-                    .expect("codes index into their value table")
+            recorder.counter("mapping.coded_fallbacks", u64::from(!complete));
+            if complete {
+                QuantizedMatrix::from_level_codes(
+                    &self.coded.codes,
+                    &self.coded.values,
+                    m_rows,
+                    m_cols,
+                )
+                .expect("codes index into their value table")
             } else {
                 QuantizedMatrix::from_f32(&buf, m_rows, m_cols)
                     .expect("candidate matrix sized rows × cols")
-            })
-        } else {
-            build_candidate_matrix(&mapping, &quantizer, &level_r, p, &mut buf);
-            None
-        };
+            }
+        });
         self.pool.ensure_slots(1);
         let mut lease = lease_synced(&self.pool, 0, self.generation, software, p);
         let ctx = lease.as_mut().expect("populated by lease_synced");
@@ -522,96 +524,276 @@ fn lease_synced<'pool>(
     lease
 }
 
-/// Builds the simulated weight matrix of one candidate window into `out`,
-/// with the exact per-cell float operations of the naive path:
-/// `w → g` (eq. 4), nearest fresh level, clamp into the cell's estimated
-/// block window, inverse map. The last three steps depend only on
-/// `(estimate window, level index)`, so they are computed once per distinct
-/// pair via a lazily filled table.
-fn build_candidate_matrix(
-    mapping: &WeightMapping,
-    quantizer: &Quantizer,
-    level_r: &[f64],
-    p: &SweepParams<'_>,
-    out: &mut [f32],
-) {
-    let w = p.trained[p.layer].as_slice();
-    let cols = p.trained[p.layer].dims()[1];
-    let n_windows = p.blocks.windows().len();
-    let levels = level_r.len();
-    // Flat (window, level) table; NAN sentinel marks unfilled entries — a
-    // real entry is never NAN (finite mapping over a positive resistance).
-    let mut table = vec![f32::NAN; n_windows * levels];
-    for (i, slot) in out.iter_mut().enumerate() {
-        let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w[i] as f64);
-        // Fresh-grid quantization in the resistance domain.
-        let k = quantizer.nearest_level(Ohms::new(1.0 / g).expect("g > 0"));
-        let wi = p.blocks.window_index(row, col) as usize;
-        let entry = &mut table[wi * levels + k];
-        if entry.is_nan() {
-            // Clamp the quantized level into the estimated window of this
-            // cell's block, then invert eq. 4 — same expressions, same
-            // bits, as the per-cell naive chain.
-            let r = p.blocks.windows()[wi].clamp(level_r[k]);
-            *entry = mapping.conductance_to_weight(1.0 / r) as f32;
+/// The quantized form of one candidate matrix: per-cell `u8` codes into a
+/// table of its distinct values (keyed by bit pattern), ready for
+/// [`QuantizedMatrix::from_level_codes`].
+#[derive(Debug, Default)]
+struct CodedMatrix {
+    codes: Vec<u8>,
+    values: Vec<f32>,
+}
+
+/// Value-table entry not yet referenced by the current candidate.
+const UNASSIGNED: u16 = u16::MAX;
+/// Value-table entry whose value found no free `u8` code.
+const NO_CODE: u16 = u16::MAX - 1;
+/// Open-addressing slots of the value → code map: twice the 256 codes, so
+/// probing always finds a free slot.
+const CODE_SLOTS: usize = 512;
+
+/// Builds the simulated weight matrix of every candidate of one sweep from
+/// sorted level breakpoints (module docs, item 3).
+///
+/// The naive per-cell chain — `w → g` (eq. 4), nearest fresh level, clamp
+/// into the cell's estimated block window, inverse map — gives a level
+/// index that is monotone (non-increasing) in the weight: clamp, the affine
+/// map, `1/x`, `round` and `min` are each monotone under IEEE rounding. So
+/// [`CandidateBuilder::prepare`] sorts the cells by weight once per sweep,
+/// and [`CandidateBuilder::build`] finds each candidate's level runs with
+/// at most `levels` searches over the sorted weights, whose probes
+/// evaluate the *same* float expressions as the chain. A cell's value then
+/// depends only on its level and its window, and is one of three: the
+/// level's unclamped value, or its window's `r_min` / `r_max` value when
+/// the clamp bites — each computed once per candidate with the chain's own
+/// expressions, so every cell gets the exact bits
+/// [`crate::network::simulate_layer_matrix`] computes.
+///
+/// The tables live in [`EvalEngine`] and are reused by every sweep and
+/// candidate, so steady state allocates nothing.
+#[derive(Debug, Default)]
+struct CandidateBuilder {
+    quantizer: Option<Quantizer>,
+    /// The layer's weights in ascending total order (ties by cell index).
+    sorted: Vec<f32>,
+    /// Cell index of each sorted position.
+    cells: Vec<u32>,
+    /// Resistance of every fresh level, ascending.
+    level_r: Vec<f64>,
+    /// Block-window index of each sorted position.
+    cell_windows: Vec<u32>,
+    /// Per block window: the level range `k_lo..k_end` its clamp leaves
+    /// alone; lower levels clamp up to its `r_min`, higher ones down to its
+    /// `r_max`.
+    window_levels: Vec<(usize, usize)>,
+    /// Conductance of every value-table entry: `1/r` of each fresh level,
+    /// then of each window's `r_min`, then of each window's `r_max`.
+    entry_g: Vec<f64>,
+    /// Per candidate: the mapped weight of every entry.
+    entry_value: Vec<f32>,
+    /// Per candidate, quantized mode: the `u8` code of every entry.
+    entry_code: Vec<u16>,
+    /// Per candidate, quantized mode: value bits → code (`code + 1`, `0`
+    /// free), open addressing.
+    code_slots: Vec<u16>,
+}
+
+impl CandidateBuilder {
+    /// Sorts `trained`'s cells by weight and tabulates the fresh levels and
+    /// the block windows, for every later [`CandidateBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a window with `r_min > r_max` (or a NaN bound), as the
+    /// chain's clamp does.
+    fn prepare(
+        &mut self,
+        trained: &Tensor,
+        blocks: &BlockMap,
+        spec: &DeviceSpec,
+    ) -> Result<(), CrossbarError> {
+        let quantizer = Quantizer::from_spec(spec)?;
+        self.quantizer = Some(quantizer);
+        let (weights, cols) = (trained.as_slice(), trained.dims()[1]);
+        self.cells.clear();
+        self.cells.extend(0..u32::try_from(weights.len()).expect("cell indices fit in u32"));
+        self.cells.sort_unstable_by(|&a, &b| {
+            weights[a as usize].total_cmp(&weights[b as usize]).then(a.cmp(&b))
+        });
+        self.sorted.clear();
+        self.sorted.extend(self.cells.iter().map(|&i| weights[i as usize]));
+        self.cell_windows.clear();
+        self.cell_windows.extend(self.cells.iter().map(|&i| {
+            let i = i as usize;
+            blocks.window_index(i / cols, i % cols)
+        }));
+
+        self.level_r.clear();
+        self.level_r.extend((0..quantizer.levels()).map(|k| quantizer.level_resistance(k).value()));
+        let (level_r, windows) = (&self.level_r, blocks.windows());
+        self.window_levels.clear();
+        self.window_levels.extend(windows.iter().map(|win| {
+            assert!(
+                win.r_min <= win.r_max,
+                "block window [{}, {}] is inverted",
+                win.r_min,
+                win.r_max
+            );
+            (
+                level_r.partition_point(|&r| r < win.r_min),
+                level_r.partition_point(|&r| r <= win.r_max),
+            )
+        }));
+        self.entry_g.clear();
+        self.entry_g.extend(level_r.iter().map(|&r| 1.0 / r));
+        self.entry_g.extend(windows.iter().map(|win| 1.0 / win.r_min));
+        self.entry_g.extend(windows.iter().map(|win| 1.0 / win.r_max));
+        Ok(())
+    }
+
+    /// Fills `out` (cell order) with the simulated matrix of `mapping`.
+    /// With `coded`, also fills its per-cell codes and distinct-value table
+    /// and returns whether every value got a code: `false` when the matrix
+    /// holds more than 256 distinct values, and the caller must quantize
+    /// `out` instead. Always `true` without `coded`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN weight, as the chain does: its conductance is no
+    /// resistance.
+    fn build(
+        &mut self,
+        mapping: &WeightMapping,
+        out: &mut [f32],
+        mut coded: Option<&mut CodedMatrix>,
+    ) -> bool {
+        let CandidateBuilder {
+            quantizer,
+            sorted,
+            cells,
+            level_r: _,
+            cell_windows,
+            window_levels,
+            entry_g,
+            entry_value,
+            entry_code,
+            code_slots,
+        } = self;
+        let quantizer = quantizer.expect("prepare() runs before build()");
+        let (levels, n_windows, n) = (quantizer.levels(), window_levels.len(), sorted.len());
+        debug_assert_eq!(out.len(), n);
+        entry_value.clear();
+        entry_value.extend(entry_g.iter().map(|&g| mapping.conductance_to_weight(g) as f32));
+        if let Some(c) = coded.as_deref_mut() {
+            c.codes.clear();
+            c.codes.resize(n, 0);
+            c.values.clear();
+            entry_code.clear();
+            entry_code.resize(entry_g.len(), UNASSIGNED);
+            code_slots.clear();
+            code_slots.resize(CODE_SLOTS, 0);
         }
-        *slot = *entry;
+        let level = |w: f32| {
+            let g = mapping.weight_to_conductance(w as f64);
+            quantizer.nearest_level(Ohms::new(1.0 / g).expect("g > 0"))
+        };
+        let (r0, width) = (quantizer.level_resistance(0).value(), quantizer.level_width());
+        let Some(&heaviest) = sorted.last() else {
+            return true;
+        };
+        // Evaluated first so a positive NaN (sorted last) is rejected too.
+        let last_level = level(heaviest);
+        let mut complete = true;
+        let mut start = 0;
+        while start < n {
+            // Levels fall as weights rise: the run of level `k` ends where
+            // the level first drops below it. The search starts where the
+            // real-valued chain crosses into level `k - 1`; only the exact
+            // probes decide.
+            let k = level(sorted[start]);
+            let end = if k == last_level {
+                n
+            } else {
+                let crossing = mapping.conductance_to_weight(1.0 / (r0 + (k as f64 - 0.5) * width));
+                let guess = sorted.partition_point(|&w| (w as f64) <= crossing);
+                run_end(start, guess, n, |pos| level(sorted[pos]) == k)
+            };
+            for pos in start..end {
+                let wi = cell_windows[pos] as usize;
+                let (k_lo, k_end) = window_levels[wi];
+                let entry = if k < k_lo {
+                    levels + wi
+                } else if k >= k_end {
+                    levels + n_windows + wi
+                } else {
+                    k
+                };
+                let cell = cells[pos] as usize;
+                out[cell] = entry_value[entry];
+                if let Some(c) = coded.as_deref_mut() {
+                    if entry_code[entry] == UNASSIGNED {
+                        entry_code[entry] = code_for(code_slots, &mut c.values, entry_value[entry]);
+                    }
+                    match entry_code[entry] {
+                        NO_CODE => complete = false,
+                        code => c.codes[cell] = code as u8,
+                    }
+                }
+            }
+            start = end;
+        }
+        complete
     }
 }
 
-/// [`build_candidate_matrix`] that additionally emits the per-cell u8 codes
-/// into the candidate's distinct-value table (`codes[i]` indexes
-/// `values`), letting the quantized path call
-/// [`QuantizedMatrix::from_level_codes`] — each distinct (window, level)
-/// value is quantized once instead of once per cell. Returns `false` when
-/// the candidate references more than 256 distinct values (possible on
-/// very heterogeneously aged arrays); the caller then falls back to
-/// [`QuantizedMatrix::from_f32`] on the dense matrix, which is exact but
-/// slower. `out` is always filled identically to the uncoded builder.
-#[allow(clippy::too_many_arguments)]
-fn build_candidate_matrix_coded(
-    mapping: &WeightMapping,
-    quantizer: &Quantizer,
-    level_r: &[f64],
-    p: &SweepParams<'_>,
-    out: &mut [f32],
-    codes: &mut Vec<u8>,
-    values: &mut Vec<f32>,
-) -> bool {
-    let w = p.trained[p.layer].as_slice();
-    let cols = p.trained[p.layer].dims()[1];
-    let n_windows = p.blocks.windows().len();
-    let levels = level_r.len();
-    let mut table = vec![f32::NAN; n_windows * levels];
-    // Parallel code table: u16::MAX marks "no u8 code assigned".
-    let mut table_code = vec![u16::MAX; n_windows * levels];
-    codes.clear();
-    codes.resize(out.len(), 0);
-    values.clear();
-    let mut complete = true;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w[i] as f64);
-        let k = quantizer.nearest_level(Ohms::new(1.0 / g).expect("g > 0"));
-        let wi = p.blocks.window_index(row, col) as usize;
-        let ti = wi * levels + k;
-        if table[ti].is_nan() {
-            let r = p.blocks.windows()[wi].clamp(level_r[k]);
-            table[ti] = mapping.conductance_to_weight(1.0 / r) as f32;
-            if values.len() < 256 {
-                table_code[ti] = values.len() as u16;
-                values.push(table[ti]);
+/// The end of the run `start..end` on which `same` holds, for a predicate
+/// that holds at `start` and, once false, stays false up to `n`: galloping
+/// out from `guess`, then bisecting the last step. A good guess costs two
+/// probes; any guess gives the exact end.
+fn run_end(start: usize, guess: usize, n: usize, same: impl Fn(usize) -> bool) -> usize {
+    let guess = guess.clamp(start + 1, n);
+    // Invariant: `same(lo)` holds; `hi == n` or `same(hi)` fails.
+    let (mut lo, mut hi) = (start, n);
+    let mut step = 1;
+    if guess < n && same(guess) {
+        lo = guess;
+        while lo + step < n {
+            if !same(lo + step) {
+                hi = lo + step;
+                break;
             }
+            lo += step;
+            step *= 2;
         }
-        *slot = table[ti];
-        if table_code[ti] == u16::MAX {
-            complete = false;
-        } else {
-            codes[i] = table_code[ti] as u8;
+    } else {
+        hi = guess;
+        while step < hi - lo {
+            if same(hi - step) {
+                lo = hi - step;
+                break;
+            }
+            hi -= step;
+            step *= 2;
         }
     }
-    complete
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if same(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
+/// The `u8` code of value `v` in `values` (keyed by bit pattern), appending
+/// it when new; [`NO_CODE`] once all 256 codes are taken.
+fn code_for(slots: &mut [u16], values: &mut Vec<f32>, v: f32) -> u16 {
+    let bits = v.to_bits();
+    let mask = slots.len() - 1;
+    let mut i = (bits.wrapping_mul(0x9e37_79b9) >> (32 - CODE_SLOTS.trailing_zeros())) as usize;
+    loop {
+        match slots[i] {
+            0 if values.len() == 256 => return NO_CODE,
+            0 => {
+                values.push(v);
+                slots[i] = values.len() as u16;
+                return slots[i] - 1;
+            }
+            s if values[s as usize - 1].to_bits() == bits => return s - 1,
+            _ => i = (i + 1) & mask,
+        }
+    }
 }
 
 /// Runs the accuracy pass of one simulated weight matrix on a worker
@@ -838,17 +1020,15 @@ impl PruneGate {
     }
 }
 
-/// FNV-1a over the bit patterns of a candidate matrix — cheap pre-filter
-/// before the exact bitwise comparison.
-fn fnv1a(values: &[f32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+/// Word-at-a-time multiplicative hash of a candidate matrix's bit patterns:
+/// a cheap pre-filter before [`bits_equal`], which alone decides equality,
+/// so any hash keeps the dedup exact.
+fn hash_bits(values: &[f32]) -> u64 {
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut pairs = values.chunks_exact(2);
+    let hash = (&mut pairs)
+        .fold(0, |h, pair| mix(h, (pair[0].to_bits() as u64) << 32 | pair[1].to_bits() as u64));
+    pairs.remainder().iter().fold(hash, |h, v| mix(h, v.to_bits() as u64))
 }
 
 /// Exact bitwise equality of two matrices (`==` on f32 would conflate
@@ -860,6 +1040,248 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::simulate_layer_matrix;
+    use proptest::prelude::*;
+
+    /// A `rows × cols` weight tensor from `weights`, cycled.
+    fn tensor(rows: usize, cols: usize, weights: &[f32]) -> Tensor {
+        Tensor::from_fn([rows, cols], |i| weights[i % weights.len()])
+    }
+
+    /// One estimate per 3×3 block of a `rows × cols` array, its window
+    /// made by `window(block)`.
+    fn block_estimates(
+        rows: usize,
+        cols: usize,
+        mut window: impl FnMut(usize) -> AgedWindow,
+    ) -> Vec<TracedEstimate> {
+        let (block_rows, block_cols) = (rows.div_ceil(3), cols.div_ceil(3));
+        (0..block_rows * block_cols)
+            .map(|b| TracedEstimate {
+                row: (b / block_cols) * 3 + 1,
+                col: (b % block_cols) * 3 + 1,
+                window: window(b),
+            })
+            .collect()
+    }
+
+    fn distinct_bits(values: &[f32]) -> usize {
+        let mut bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        bits.len()
+    }
+
+    /// Builds `mapping` both ways, f32 and coded, and checks both against
+    /// the naive per-cell chain bit for bit.
+    fn assert_matches_chain(
+        builder: &mut CandidateBuilder,
+        trained: &Tensor,
+        blocks: &BlockMap,
+        mapping: &WeightMapping,
+    ) {
+        let quantizer = Quantizer::from_spec(&DeviceSpec::default()).unwrap();
+        let mut want = vec![0.0f32; trained.len()];
+        simulate_layer_matrix(trained, mapping, &quantizer, blocks, &mut want);
+        let mut got = vec![f32::NAN; trained.len()];
+        assert!(builder.build(mapping, &mut got, None), "uncoded builds are always complete");
+        assert!(bits_equal(&got, &want), "f32 build diverged from the chain");
+
+        let mut coded = CodedMatrix::default();
+        got.fill(f32::NAN);
+        let complete = builder.build(mapping, &mut got, Some(&mut coded));
+        assert!(bits_equal(&got, &want), "coded build diverged from the chain");
+        let distinct = distinct_bits(&want);
+        assert_eq!(complete, distinct <= 256, "{distinct} distinct values");
+        assert_eq!(coded.values.len(), distinct.min(256));
+        assert_eq!(distinct_bits(&coded.values), coded.values.len(), "codes key value bits");
+        if complete {
+            let decoded: Vec<f32> = coded.codes.iter().map(|&c| coded.values[c as usize]).collect();
+            assert!(bits_equal(&decoded, &want), "codes decode to the chain's values");
+        }
+    }
+
+    /// Weights with duplicates, both zero signs, and values beyond any
+    /// generated mapping range (infinities included).
+    fn weight() -> impl Strategy<Value = f32> {
+        (0u8..6, -8i32..=8, -3.0f32..3.0).prop_map(|(kind, k, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4 => k as f32 * 0.25,
+            _ => x,
+        })
+    }
+
+    /// An aged window whose `r_min` may sit above the fresh one (clamping
+    /// low levels up) and whose `r_max` may sit below it (clamping high
+    /// levels down). Some bounds sit exactly on a fresh level, or a hair
+    /// off one, so distinct value-table entries share their value bits.
+    fn window() -> impl Strategy<Value = AgedWindow> {
+        let spec = DeviceSpec::default();
+        let span = spec.r_max - spec.r_min;
+        let level = move |k: usize| spec.r_min + k as f64 * spec.level_width();
+        (-0.1f64..0.6, 0.02f64..1.2, 0u8..4, 1usize..31).prop_map(move |(lo, width, snap, k)| {
+            match snap {
+                0 => AgedWindow { r_min: level(k - 1), r_max: level(k) },
+                1 => AgedWindow { r_min: level(k - 1) * (1.0 + 1e-13), r_max: level(k) * 1.000001 },
+                _ => {
+                    let r_min = spec.r_min + lo * span;
+                    let r_max = r_min + width * (spec.r_max - r_min).max(0.1 * span);
+                    AgedWindow { r_min, r_max }
+                }
+            }
+        })
+    }
+
+    /// The weights where the real-valued chain of `mapping` crosses from
+    /// one fresh level to the next, with their f32 neighbours: the cells
+    /// whose level only the exact float chain can decide.
+    fn crossing_weights(mapping: &WeightMapping) -> Vec<f32> {
+        let q = Quantizer::from_spec(&DeviceSpec::default()).unwrap();
+        let r0 = q.level_resistance(0).value();
+        (1..q.levels())
+            .flat_map(|k| {
+                let r = r0 + (k as f64 - 0.5) * q.level_width();
+                let w = mapping.conductance_to_weight(1.0 / r) as f32;
+                [f32::from_bits(w.to_bits() - 1), w, f32::from_bits(w.to_bits() + 1)]
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_end_finds_the_boundary_from_any_guess(
+            n in 1usize..200,
+            start_frac in 0.0f64..1.0,
+            end_frac in 0.0f64..1.0,
+            guess in 0usize..220,
+        ) {
+            let start = ((n - 1) as f64 * start_frac) as usize;
+            let end = start + 1 + ((n - start - 1) as f64 * end_frac).round() as usize;
+            prop_assert_eq!(run_end(start, guess, n, |pos| pos < end), end);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sorted_breakpoint_build_matches_the_per_cell_chain(
+            rows in 1usize..13,
+            cols in 1usize..13,
+            weights in proptest::collection::vec(weight(), 1..40),
+            windows in proptest::collection::vec(window(), 1..6),
+            lo in -1.5f64..-0.01,
+            hi in 0.01f64..1.5,
+            r_maxes in proptest::collection::vec(0.05f64..1.0, 1..5),
+            crossings in 0u8..2,
+        ) {
+            let crossings = crossings == 1;
+            let spec = DeviceSpec::default();
+            let mut weights = weights;
+            if crossings {
+                // Weights on the level crossings of the first candidate.
+                let window = AgedWindow {
+                    r_min: spec.r_min,
+                    r_max: spec.r_min + r_maxes[0] * (spec.r_max - spec.r_min),
+                };
+                weights.extend(crossing_weights(&WeightMapping::new(lo, hi, window).unwrap()));
+            }
+            // Every weight gets a cell.
+            let rows = rows.max(weights.len().div_ceil(cols));
+            let trained = tensor(rows, cols, &weights);
+            // A single window, or block windows cycled from the pool.
+            let estimates = block_estimates(rows, cols, |b| windows[b % windows.len()]);
+            let blocks = BlockMap::new(rows, cols, &estimates);
+            let mut builder = CandidateBuilder::default();
+            builder.prepare(&trained, &blocks, &spec).unwrap();
+            // Several candidates per prepare, as in a sweep.
+            for f in r_maxes {
+                let window = AgedWindow {
+                    r_min: spec.r_min,
+                    r_max: spec.r_min + f * (spec.r_max - spec.r_min),
+                };
+                let mapping = WeightMapping::new(lo, hi, window).unwrap();
+                assert_matches_chain(&mut builder, &trained, &blocks, &mapping);
+            }
+        }
+    }
+
+    #[test]
+    fn single_window_block_map_matches_the_chain() {
+        let spec = DeviceSpec::default();
+        let trained = Tensor::from_fn([7, 5], |i| (i as f32 - 17.0) * 0.07);
+        let aged = AgedWindow { r_min: spec.r_min * 1.3, r_max: spec.r_max * 0.6 };
+        let blocks = BlockMap::new(7, 5, &block_estimates(7, 5, |_| aged));
+        assert_eq!(blocks.windows().len(), 1);
+        let mut builder = CandidateBuilder::default();
+        builder.prepare(&trained, &blocks, &spec).unwrap();
+        let mapping =
+            WeightMapping::new(-1.0, 1.0, AgedWindow { r_min: spec.r_min, r_max: spec.r_max })
+                .unwrap();
+        assert_matches_chain(&mut builder, &trained, &blocks, &mapping);
+    }
+
+    #[test]
+    fn more_than_256_distinct_values_fall_back_exactly() {
+        // 256 blocks, each with its own window clamping both ends: far more
+        // than 256 distinct mapped values.
+        let spec = DeviceSpec::default();
+        let span = spec.r_max - spec.r_min;
+        let (rows, cols) = (48, 48);
+        let estimates = block_estimates(rows, cols, |b| AgedWindow {
+            r_min: spec.r_min + (0.05 + 0.001 * b as f64) * span,
+            r_max: spec.r_max - (0.05 + 0.0013 * b as f64) * span,
+        });
+        let blocks = BlockMap::new(rows, cols, &estimates);
+        let trained = Tensor::from_fn([rows, cols], |i| ((i * 37) % 101) as f32 / 50.0 - 1.0);
+        let mapping =
+            WeightMapping::new(-1.0, 1.0, AgedWindow { r_min: spec.r_min, r_max: spec.r_max })
+                .unwrap();
+        let quantizer = Quantizer::from_spec(&spec).unwrap();
+        let mut want = vec![0.0f32; rows * cols];
+        simulate_layer_matrix(&trained, &mapping, &quantizer, &blocks, &mut want);
+        assert!(distinct_bits(&want) > 256, "the case must exceed the code space");
+        let mut builder = CandidateBuilder::default();
+        builder.prepare(&trained, &blocks, &spec).unwrap();
+        assert_matches_chain(&mut builder, &trained, &blocks, &mapping);
+    }
+
+    #[test]
+    fn a_nan_weight_is_rejected_not_mapped() {
+        // The per-cell chain rejects a NaN weight (its conductance is no
+        // resistance); the builder must too, whichever end of the sorted
+        // order the NaN's sign puts it at.
+        let spec = DeviceSpec::default();
+        let quantizer = Quantizer::from_spec(&spec).unwrap();
+        let mapping =
+            WeightMapping::new(-1.0, 1.0, AgedWindow { r_min: spec.r_min, r_max: spec.r_max })
+                .unwrap();
+        for nan in [f32::NAN, -f32::NAN] {
+            let trained = tensor(3, 4, &[0.5, -0.25, nan, 0.0, 1.0, -1.0]);
+            let blocks = BlockMap::new(
+                3,
+                4,
+                &block_estimates(3, 4, |_| AgedWindow { r_min: spec.r_min, r_max: spec.r_max }),
+            );
+            let chain = std::panic::catch_unwind(|| {
+                let mut out = vec![0.0f32; 12];
+                simulate_layer_matrix(&trained, &mapping, &quantizer, &blocks, &mut out);
+            });
+            assert!(chain.is_err(), "the chain rejects a NaN weight");
+            let mut builder = CandidateBuilder::default();
+            builder.prepare(&trained, &blocks, &spec).unwrap();
+            let built = std::panic::catch_unwind(move || {
+                let mut out = vec![0.0f32; 12];
+                builder.build(&mapping, &mut out, None);
+            });
+            assert!(built.is_err(), "a NaN weight must not be mapped silently");
+        }
+    }
 
     #[test]
     fn prune_gate_bound_ignores_pending_and_later_positions() {
@@ -887,11 +1309,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv_and_bitwise_dedup_distinguish_zero_signs() {
+    fn hash_and_bitwise_dedup_distinguish_zero_signs() {
         let a = vec![0.0f32, 1.0];
         let b = vec![-0.0f32, 1.0];
         assert!(bits_equal(&a, &a.clone()));
         assert!(!bits_equal(&a, &b), "dedup must be exact, not ==");
-        assert_ne!(fnv1a(&a), fnv1a(&b));
+        assert_ne!(hash_bits(&a), hash_bits(&b));
     }
 }

@@ -700,19 +700,43 @@ fn simulate_layer_window_accuracy(
     let mapping =
         WeightMapping::from_weights_percentile(trained[layer_idx].as_slice(), cand, percentile)?;
     let quantizer = Quantizer::from_spec(spec)?;
-    let w = trained[layer_idx];
-    let cols = w.dims()[1];
-    for (i, slot) in scratch[layer_idx].as_mut_slice().iter_mut().enumerate() {
+    simulate_layer_matrix(
+        trained[layer_idx],
+        &mapping,
+        &quantizer,
+        blocks,
+        scratch[layer_idx].as_mut_slice(),
+    );
+    software.set_weight_matrices(scratch)?;
+    Ok(memaging_nn::evaluate(software, data, batch)?)
+}
+
+/// The naive per-cell simulation of one candidate mapping of `trained`
+/// into `out`: weight → conductance (eq. 4), nearest fresh level in the
+/// resistance domain, clamp into the cell's estimated block window,
+/// inverse map. The incremental sweep's candidate builder must reproduce
+/// it bit for bit.
+///
+/// # Panics
+///
+/// Panics on a NaN weight (its conductance is not a valid resistance).
+pub(crate) fn simulate_layer_matrix(
+    trained: &Tensor,
+    mapping: &WeightMapping,
+    quantizer: &Quantizer,
+    blocks: &BlockMap,
+    out: &mut [f32],
+) {
+    let cols = trained.dims()[1];
+    for (i, slot) in out.iter_mut().enumerate() {
         let (row, col) = (i / cols, i % cols);
-        let g = mapping.weight_to_conductance(w.as_slice()[i] as f64);
+        let g = mapping.weight_to_conductance(trained.as_slice()[i] as f64);
         // Fresh-grid quantization in the resistance domain.
         let r = quantizer.quantize(memaging_device::Ohms::new(1.0 / g).expect("g > 0")).value();
         // Clamp into the estimated window of this device's block.
         let r = blocks.at(row, col).clamp(r);
         *slot = mapping.conductance_to_weight(1.0 / r) as f32;
     }
-    software.set_weight_matrices(scratch)?;
-    Ok(memaging_nn::evaluate(software, data, batch)?)
 }
 
 #[cfg(test)]

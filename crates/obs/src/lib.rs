@@ -82,6 +82,10 @@ pub mod names {
     /// Forwarding the calibration batch through the unchanged layers
     /// `0..idx` once per sweep — the prefix the incremental engine caches.
     pub const MAP_PREFIX: &str = "map.prefix";
+    /// Building every candidate's simulated weight matrix (and, quantized,
+    /// its fixed-point form) serially on the thread driving the sweep,
+    /// nested in [`MAP_SWEEP`].
+    pub const MAP_BUILD: &str = "map.build";
     /// Evaluating one candidate window (per-worker span).
     pub const MAP_CANDIDATE: &str = "map.candidate";
     /// Replaying one candidate from the cached prefix activation through

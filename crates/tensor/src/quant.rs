@@ -24,11 +24,11 @@
 //! between the two is asserted by the crossbar/serve test suites and the
 //! `exp_map`/`exp_serve` benches.
 //!
-//! Candidate matrices produced by the range-selection engine take only a
-//! handful of distinct values (one per aged-window × conductance-level
-//! pair), so [`QuantizedMatrix::from_level_codes`] builds the integer matrix
-//! from `u8` level codes plus a per-level value table, quantizing each
-//! distinct value exactly once. The result is bitwise identical to
+//! Candidate matrices produced by the range-selection engine usually take
+//! at most a few hundred distinct values (each an aged-window ×
+//! conductance-level value), so [`QuantizedMatrix::from_level_codes`]
+//! builds the integer matrix from `u8` codes plus a table of the distinct
+//! values, quantizing each value exactly once. The result is bitwise identical to
 //! [`QuantizedMatrix::from_f32`] on the expanded matrix.
 //!
 //! Because the integer grid makes the dot product *exactly* distributive,
@@ -273,9 +273,8 @@ impl QuantizedMatrix {
     }
 
     /// Builds the quantized matrix from per-cell `u8` level codes (row
-    /// major) and the per-level value table the range-selection engine
-    /// already maintains (one entry per aged-window × conductance-level
-    /// pair).
+    /// major) and the table of distinct values they index, as the
+    /// range-selection engine builds them.
     ///
     /// Each distinct value is quantized exactly once; the scale is computed
     /// over the values actually referenced by `codes`, so the result is
