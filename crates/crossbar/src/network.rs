@@ -495,12 +495,11 @@ impl CrossbarNetwork {
     pub fn read_weights(&self) -> Result<Vec<Tensor>, CrossbarError> {
         let mut out = Vec::with_capacity(self.arrays.len());
         for (idx, array) in self.arrays.iter().enumerate() {
-            let mapping = self.mappings[idx].ok_or(CrossbarError::InvalidMapping {
-                reason: format!("layer {idx} has not been mapped yet"),
-            })?;
-            let g = self.row_assignments[idx].to_logical(&array.conductances())?;
-            out.push(Tensor::from_fn([array.rows(), array.cols()], |i| {
-                mapping.conductance_to_weight(g.as_slice()[i] as f64) as f32
+            let mapping = self.mapping_or_err(idx)?;
+            let assignment = &self.row_assignments[idx];
+            let cols = array.cols();
+            out.push(Tensor::from_fn([array.rows(), cols], |i| {
+                cell_weight(array, assignment, &mapping, i / cols, i % cols)
             }));
         }
         Ok(out)
@@ -512,9 +511,59 @@ impl CrossbarNetwork {
     ///
     /// Returns [`CrossbarError::InvalidMapping`] if any layer is unmapped.
     pub fn sync_software_from_hardware(&mut self) -> Result<(), CrossbarError> {
-        let weights = self.read_weights()?;
-        self.software.set_weight_matrices(&weights)?;
+        // Check every layer first so an error leaves the software untouched.
+        let mappings = (0..self.arrays.len())
+            .map(|idx| self.mapping_or_err(idx))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (idx, mapping) in mappings.into_iter().enumerate() {
+            let (array, assignment, weights) = self.read_back_lane(idx);
+            let cols = array.cols();
+            for (i, w) in weights.iter_mut().enumerate() {
+                *w = cell_weight(array, assignment, &mapping, i / cols, i % cols);
+            }
+        }
         Ok(())
+    }
+
+    /// Re-reads only `cells` into the software weights: per mappable layer,
+    /// the logical `(row, col)` positions whose devices changed since the
+    /// last sync. When `cells` covers every changed device, the software
+    /// weights equal [`CrossbarNetwork::read_weights`] bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::InvalidMapping`] if a listed layer is
+    /// unmapped.
+    pub(crate) fn sync_cells_from_hardware(
+        &mut self,
+        cells: &[Vec<(usize, usize)>],
+    ) -> Result<(), CrossbarError> {
+        for (idx, layer_cells) in cells.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+            let mapping = self.mapping_or_err(idx)?;
+            let (array, assignment, weights) = self.read_back_lane(idx);
+            let cols = array.cols();
+            for &(row, col) in layer_cells {
+                weights[row * cols + col] = cell_weight(array, assignment, &mapping, row, col);
+            }
+        }
+        Ok(())
+    }
+
+    /// Layer `idx`'s array and row assignment beside its software weights,
+    /// borrowed together for an in-place read-back.
+    fn read_back_lane(&mut self, idx: usize) -> (&Crossbar, &RowAssignment, &mut [f32]) {
+        let weights = self
+            .software
+            .weight_matrix_mut(idx)
+            .expect("one array per mappable layer")
+            .as_mut_slice();
+        (&self.arrays[idx], &self.row_assignments[idx], weights)
+    }
+
+    fn mapping_or_err(&self, idx: usize) -> Result<WeightMapping, CrossbarError> {
+        self.mappings[idx].ok_or_else(|| CrossbarError::InvalidMapping {
+            reason: format!("layer {idx} has not been mapped yet"),
+        })
     }
 
     /// Classification accuracy of the *hardware* state on `data`.
@@ -670,6 +719,19 @@ impl CrossbarNetwork {
     pub fn last_windows(&self) -> &[Option<AgedWindow>] {
         &self.last_windows
     }
+}
+
+/// The effective weight at logical `(row, col)`: the inverse of eq. 4 on the
+/// conductance of the device the row assignment places there.
+fn cell_weight(
+    array: &Crossbar,
+    assignment: &RowAssignment,
+    mapping: &WeightMapping,
+    row: usize,
+    col: usize,
+) -> f32 {
+    let g = array.device(assignment.physical(row), col).conductance().value() as f32;
+    mapping.conductance_to_weight(g as f64) as f32
 }
 
 /// Simulates the post-mapping accuracy of candidate window `cand` for layer

@@ -61,7 +61,9 @@ pub struct TuneReport {
     pub final_accuracy: f64,
     /// Whether the target accuracy was reached within the budget.
     pub converged: bool,
-    /// Accuracy measured at the start of every iteration.
+    /// Accuracy measured at the start of every iteration. The first entry
+    /// is the hardware's accuracy before any pulse, which the lifetime
+    /// simulator reports as a session's `pre_tune_accuracy`.
     pub accuracy_history: Vec<f64>,
 }
 
@@ -82,7 +84,8 @@ pub fn tune(
 }
 
 /// [`tune`] with observability: the session is wrapped in a `tune` span,
-/// and at exit the `tuner.iterations` / `tuner.pulses` counters and the
+/// every hardware evaluation in an `evaluate` span inside it, and at exit
+/// the `tuner.iterations` / `tuner.pulses` counters and the
 /// `tuner.final_accuracy` gauge are recorded. With a disabled recorder this
 /// is identical to [`tune`].
 ///
@@ -96,37 +99,50 @@ pub fn tune_with_recorder(
     recorder: &Recorder,
 ) -> Result<TuneReport, CrossbarError> {
     let _span = recorder.span("tune");
-    let report = tune_inner(network, data, config)?;
+    let report = tune_inner(network, data, config, recorder)?;
     recorder.counter("tuner.iterations", report.iterations as u64);
     recorder.counter("tuner.pulses", report.pulses);
     recorder.gauge("tuner.final_accuracy", report.final_accuracy);
     Ok(report)
 }
 
+/// One evaluation per iteration, plus a final evaluation-only one when the
+/// budget runs out. The first evaluation reads every cell; later ones
+/// re-read only the cells the previous iteration pulsed, since a pulse
+/// changes nothing but its own device.
 fn tune_inner(
     network: &mut CrossbarNetwork,
     data: &Dataset,
     config: &TuneConfig,
+    recorder: &Recorder,
 ) -> Result<TuneReport, CrossbarError> {
     let pulses_before = network.total_pulses();
+    let batch_size = config.batch_size.max(1);
+    let num_batches = data.len().div_ceil(batch_size);
     let mut history = Vec::new();
-    let mut best = 0.0f64;
-    let num_batches = data.len().div_ceil(config.batch_size.max(1));
-    for iteration in 0..config.max_iterations {
-        let accuracy = network.evaluate(data, config.batch_size.max(1))?;
+    let mut pulsed: Option<Vec<Vec<(usize, usize)>>> = None;
+    let mut iteration = 0;
+    loop {
+        let span = recorder.span("evaluate");
+        match &pulsed {
+            None => network.sync_software_from_hardware()?,
+            Some(cells) => network.sync_cells_from_hardware(cells)?,
+        }
+        let accuracy = memaging_nn::evaluate(network.software_mut(), data, batch_size)?;
+        drop(span);
         history.push(accuracy);
-        best = best.max(accuracy);
-        if accuracy >= config.target_accuracy {
+        let converged = accuracy >= config.target_accuracy;
+        if converged || iteration == config.max_iterations {
             return Ok(TuneReport {
-                iterations: iteration + 1,
+                iterations: (iteration + 1).min(config.max_iterations),
                 pulses: network.total_pulses() - pulses_before,
                 final_accuracy: accuracy,
-                converged: true,
+                converged,
                 accuracy_history: history,
             });
         }
-        // Gradient signs at the hardware's current weights. `evaluate`
-        // already synced software from hardware.
+        // Gradient signs at the hardware's current weights, which the
+        // evaluation above synced into software.
         let start = (iteration % num_batches) * config.batch_size;
         let end = (start + config.batch_size).min(data.len());
         let batch = data.batch_matrix(start, end);
@@ -135,17 +151,9 @@ fn tune_inner(
         network.software_mut().train_step(&batch, labels)?;
         let grads = collect_weight_grads(network);
         network.software_mut().zero_grads();
-        apply_sign_pulses(network, &grads, config.gate_fraction);
+        pulsed = Some(apply_sign_pulses(network, &grads, config.gate_fraction));
+        iteration += 1;
     }
-    let accuracy = network.evaluate(data, config.batch_size.max(1))?;
-    history.push(accuracy);
-    Ok(TuneReport {
-        iterations: config.max_iterations,
-        pulses: network.total_pulses() - pulses_before,
-        final_accuracy: accuracy,
-        converged: accuracy >= config.target_accuracy,
-        accuracy_history: history,
-    })
 }
 
 /// Clones out the weight-gradient tensor of every mappable layer, in order.
@@ -165,16 +173,24 @@ const PULSE_OPS_PER_WEIGHT: usize = 16;
 
 /// Applies one ±1-level pulse per gated device: positive gradient means the
 /// weight must shrink, i.e. conductance down, i.e. resistance level up.
+/// Returns, per mappable layer, the logical `(row, col)` of every device
+/// that took a pulse, in row-major order: the only devices whose state
+/// changed. Worn-out devices reject the pulse unchanged and are left out.
 ///
 /// Layers pulse in parallel — each worker owns one layer's array, and a
 /// device's pulse depends only on its own gradient entry, so the outcome is
 /// identical at any thread count.
-fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor], gate_fraction: f32) {
+fn apply_sign_pulses(
+    network: &mut CrossbarNetwork,
+    grads: &[Tensor],
+    gate_fraction: f32,
+) -> Vec<Vec<(usize, usize)>> {
     let total: usize = grads.iter().map(Tensor::len).sum();
     let threads = memaging_par::parallelism_for(total * PULSE_OPS_PER_WEIGHT);
-    let mut lanes = network.pulse_lanes_mut();
+    let mut lanes: Vec<_> =
+        network.pulse_lanes_mut().into_iter().map(|(a, r)| (a, r, Vec::new())).collect();
     memaging_par::par_chunks_mut(&mut lanes, 1, threads, |layer, lane| {
-        let (array, assignment) = &mut lane[0];
+        let (array, assignment, pulsed) = &mut lane[0];
         let grad = &grads[layer];
         let max_mag = grad.as_slice().iter().fold(0.0f32, |m, &g| m.max(g.abs()));
         if max_mag == 0.0 {
@@ -189,31 +205,115 @@ fn apply_sign_pulses(network: &mut CrossbarNetwork, grads: &[Tensor], gate_fract
             let (row, col) = (i / cols, i % cols);
             let direction: i8 = if g > 0.0 { 1 } else { -1 };
             // Worn-out devices reject pulses; tuning simply skips them.
-            let _ = array.device_mut(assignment.physical(row), col).nudge(direction);
+            if array.device_mut(assignment.physical(row), col).nudge(direction).is_ok() {
+                pulsed.push((row, col));
+            }
         }
     });
+    lanes.into_iter().map(|(_, _, pulsed)| pulsed).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::MappingStrategy;
+    use crate::wear_level::RowAssignment;
     use memaging_dataset::SyntheticSpec;
     use memaging_device::{ArrheniusAging, DeviceSpec};
-    use memaging_nn::{models, train, NoRegularizer, TrainConfig};
+    use memaging_nn::{models, train, Network, NoRegularizer, TrainConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn mapped_setup(seed: u64) -> (CrossbarNetwork, Dataset) {
+    fn trained_setup(seed: u64) -> (Network, Dataset) {
         let mut data = Dataset::gaussian_blobs(&SyntheticSpec::small(3, seed)).unwrap();
         data.normalize();
         let mut net = models::mlp(&[144, 16, 3], &mut StdRng::seed_from_u64(seed)).unwrap();
         let config = TrainConfig { epochs: 12, target_accuracy: 0.98, ..TrainConfig::default() };
         train(&mut net, &data, &config, &NoRegularizer).unwrap();
+        (net, data)
+    }
+
+    fn mapped(net: Network, data: &Dataset, wear_leveling: bool) -> CrossbarNetwork {
         let mut cn =
             CrossbarNetwork::new(net, DeviceSpec::default(), ArrheniusAging::default()).unwrap();
-        cn.map_weights(MappingStrategy::Fresh, Some((&data, 64))).unwrap();
-        (cn, data)
+        cn.set_wear_leveling(wear_leveling);
+        cn.map_weights(MappingStrategy::Fresh, Some((data, 64))).unwrap();
+        cn
+    }
+
+    fn mapped_setup(seed: u64) -> (CrossbarNetwork, Dataset) {
+        let (net, data) = trained_setup(seed);
+        (mapped(net, &data, false), data)
+    }
+
+    /// Tunes identical copies of `setup()` for 1..=`max_iterations`
+    /// iterations, so the software weights the tuner leaves behind are
+    /// those of every iteration in turn, and checks each against a full
+    /// hardware read bit for bit.
+    fn assert_patched_weights_equal_full_reads(
+        setup: impl Fn() -> CrossbarNetwork,
+        data: &Dataset,
+        max_iterations: usize,
+    ) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for iterations in 1..=max_iterations {
+            let mut cn = setup();
+            let config = TuneConfig {
+                target_accuracy: 1.01,
+                max_iterations: iterations,
+                ..TuneConfig::default()
+            };
+            let report = tune(&mut cn, data, &config).unwrap();
+            assert!(report.pulses > 0, "tuning must have pulsed");
+            let read = cn.read_weights().unwrap();
+            let software = cn.software().weight_matrices();
+            for (layer, (r, w)) in read.iter().zip(&software).enumerate() {
+                assert_eq!(bits(w), bits(r), "layer {layer} after {iterations} iterations");
+            }
+        }
+    }
+
+    #[test]
+    fn patched_weights_follow_a_swapped_row_assignment() {
+        let (net, data) = trained_setup(26);
+        let setup = || {
+            let mut cn = mapped(net.clone(), &data, true);
+            // Age one physical row so the remap swaps it away.
+            let arr = cn.array_mut(0);
+            for _ in 0..500 {
+                let _ = arr.device_mut(3, 0).pulse(1);
+                let _ = arr.device_mut(3, 0).pulse(-1);
+            }
+            cn.map_weights(MappingStrategy::Fresh, Some((&data, 64))).unwrap();
+            let rows = cn.arrays()[0].rows();
+            assert_ne!(cn.row_assignment(0), &RowAssignment::identity(rows), "no swap fired");
+            cn
+        };
+        assert_patched_weights_equal_full_reads(setup, &data, 6);
+    }
+
+    #[test]
+    fn patched_weights_skip_worn_out_devices_that_reject_pulses() {
+        let (net, data) = trained_setup(27);
+        let setup = || {
+            let mut cn = mapped(net.clone(), &data, false);
+            // Every device of the output layer is dead, so its gated cells
+            // (at least the largest gradient) all reject their pulses.
+            let arr = cn.array_mut(1);
+            for r in 0..arr.rows() {
+                for c in 0..arr.cols() {
+                    arr.device_mut(r, c).force_worn_out();
+                }
+            }
+            cn
+        };
+        let before = setup().arrays()[1].total_pulses();
+        assert_patched_weights_equal_full_reads(setup, &data, 6);
+        let mut cn = setup();
+        let config =
+            TuneConfig { target_accuracy: 1.01, max_iterations: 3, ..TuneConfig::default() };
+        tune(&mut cn, &data, &config).unwrap();
+        assert_eq!(cn.arrays()[1].total_pulses(), before, "dead devices took no pulse");
     }
 
     #[test]

@@ -100,6 +100,50 @@ impl Conv2d {
     pub fn output_hw(&self) -> (usize, usize) {
         (self.geometry.out_h(), self.geometry.out_w())
     }
+
+    /// Accumulates dK and db sample by sample; with `input_grad` also
+    /// returns the row-major `[batch, in_features]` input gradient (an
+    /// empty vector otherwise).
+    fn backward_samples(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+    ) -> Result<Vec<f32>, NnError> {
+        let cols_cache =
+            self.cached_cols.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
+        let g = self.geometry;
+        let npatch = g.num_patches();
+        let out_feat = self.out_channels * npatch;
+        let in_feat = g.in_channels * g.in_h * g.in_w;
+        let batch = grad_out.dims()[0];
+        if grad_out.rank() != 2 || grad_out.dims()[1] != out_feat || batch != cols_cache.len() {
+            return Err(NnError::BadInput {
+                layer: "conv2d",
+                expected: out_feat,
+                actual: if grad_out.rank() == 2 { grad_out.dims()[1] } else { grad_out.len() },
+            });
+        }
+        let mut grad_in = if input_grad { vec![0.0f32; batch * in_feat] } else { Vec::new() };
+        for s in 0..batch {
+            let gslice = &grad_out.as_slice()[s * out_feat..(s + 1) * out_feat];
+            let gmat = Tensor::from_vec(gslice.to_vec(), [self.out_channels, npatch])?;
+            // dK += dY · colsᵀ
+            let dk = ops::matmul_transpose_b(&gmat, &cols_cache[s])?;
+            self.grad_kernels.axpy(1.0, &dk)?;
+            // db += row sums of dY
+            for oc in 0..self.out_channels {
+                let sum: f32 = gslice[oc * npatch..(oc + 1) * npatch].iter().sum();
+                self.grad_bias.as_mut_slice()[oc] += sum;
+            }
+            if input_grad {
+                // dcols = Kᵀ · dY, then scatter back to image space.
+                let dcols = ops::matmul_transpose_a(&self.kernels, &gmat)?;
+                let dimage = col2im(&dcols, &g)?;
+                grad_in[s * in_feat..(s + 1) * in_feat].copy_from_slice(dimage.as_slice());
+            }
+        }
+        Ok(grad_in)
+    }
 }
 
 impl Layer for Conv2d {
@@ -203,38 +247,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let cols_cache =
-            self.cached_cols.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "conv2d" })?;
-        let g = self.geometry;
-        let npatch = g.num_patches();
-        let out_feat = self.out_channels * npatch;
-        let in_feat = g.in_channels * g.in_h * g.in_w;
-        let batch = grad_out.dims()[0];
-        if grad_out.rank() != 2 || grad_out.dims()[1] != out_feat || batch != cols_cache.len() {
-            return Err(NnError::BadInput {
-                layer: "conv2d",
-                expected: out_feat,
-                actual: if grad_out.rank() == 2 { grad_out.dims()[1] } else { grad_out.len() },
-            });
-        }
-        let mut grad_in = vec![0.0f32; batch * in_feat];
-        for s in 0..batch {
-            let gslice = &grad_out.as_slice()[s * out_feat..(s + 1) * out_feat];
-            let gmat = Tensor::from_vec(gslice.to_vec(), [self.out_channels, npatch])?;
-            // dK += dY · colsᵀ
-            let dk = ops::matmul_transpose_b(&gmat, &cols_cache[s])?;
-            self.grad_kernels.axpy(1.0, &dk)?;
-            // db += row sums of dY
-            for oc in 0..self.out_channels {
-                let sum: f32 = gslice[oc * npatch..(oc + 1) * npatch].iter().sum();
-                self.grad_bias.as_mut_slice()[oc] += sum;
-            }
-            // dcols = Kᵀ · dY, then scatter back to image space.
-            let dcols = ops::matmul_transpose_a(&self.kernels, &gmat)?;
-            let dimage = col2im(&dcols, &g)?;
-            grad_in[s * in_feat..(s + 1) * in_feat].copy_from_slice(dimage.as_slice());
-        }
-        Tensor::from_vec(grad_in, [batch, in_feat]).map_err(NnError::from)
+        let grad_in = self.backward_samples(grad_out, true)?;
+        Tensor::from_vec(grad_in, [grad_out.dims()[0], self.in_features()]).map_err(NnError::from)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.backward_samples(grad_out, false).map(drop)
     }
 
     fn in_features(&self) -> usize {

@@ -100,6 +100,18 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
+
+    /// `dW += xᵀ · dy` and `db += column sums of dy`: the parameter half of
+    /// both backward variants.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let input =
+            self.cached_input.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
+        let dw = ops::matmul_transpose_a(input, grad_out)?;
+        self.grad_weights.axpy(1.0, &dw)?;
+        let db = ops::sum_rows(grad_out)?;
+        self.grad_bias.axpy(1.0, &db)?;
+        Ok(())
+    }
 }
 
 impl Layer for Dense {
@@ -132,15 +144,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let input =
-            self.cached_input.as_ref().ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
-        // dW += x^T · dy ; db += column sums of dy ; dx = dy · W^T
-        let dw = ops::matmul_transpose_a(input, grad_out)?;
-        self.grad_weights.axpy(1.0, &dw)?;
-        let db = ops::sum_rows(grad_out)?;
-        self.grad_bias.axpy(1.0, &db)?;
-        let dx = ops::matmul_transpose_b(grad_out, &self.weights)?;
-        Ok(dx)
+        self.accumulate_param_grads(grad_out)?;
+        // dx = dy · Wᵀ
+        Ok(ops::matmul_transpose_b(grad_out, &self.weights)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.accumulate_param_grads(grad_out)
     }
 
     fn in_features(&self) -> usize {

@@ -74,6 +74,18 @@ pub trait Layer: Send + Sync {
     /// are cached, or a wrapped tensor error.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
 
+    /// Accumulates parameter gradients exactly as [`Layer::backward`] does
+    /// but skips the gradient w.r.t. the input. [`crate::Network::backward`]
+    /// calls this on its first layer, whose input gradient nobody reads.
+    /// The default runs [`Layer::backward`] and drops its result.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Number of input features this layer expects.
     fn in_features(&self) -> usize;
 

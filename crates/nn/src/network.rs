@@ -200,18 +200,21 @@ impl Network {
     }
 
     /// Runs a backward pass from a `[batch, out_features]` logit gradient,
-    /// accumulating parameter gradients in every layer.
+    /// accumulating parameter gradients in every layer. The gradient w.r.t.
+    /// the network input is not computed: the first layer runs
+    /// [`Layer::backward_params`].
     ///
     /// # Errors
     ///
     /// Propagates the first layer error encountered (including
     /// [`NnError::BackwardBeforeForward`]).
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<Tensor, NnError> {
+    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<(), NnError> {
+        let (first, rest) = self.layers.split_first_mut().expect("nonempty");
         let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
-        Ok(g)
+        first.backward_params(&g)
     }
 
     /// Forward + loss + backward in one call; returns the loss output.
@@ -281,6 +284,12 @@ impl Network {
     /// cloning, or `None` when out of range.
     pub fn weight_matrix(&self, mappable_index: usize) -> Option<&Tensor> {
         self.layers.iter().filter_map(|l| l.weight_matrix()).nth(mappable_index)
+    }
+
+    /// Mutably borrows the `mappable_index`-th mappable weight matrix, or
+    /// `None` when out of range.
+    pub fn weight_matrix_mut(&mut self, mappable_index: usize) -> Option<&mut Tensor> {
+        self.layers.iter_mut().filter_map(|l| l.weight_matrix_mut()).nth(mappable_index)
     }
 
     /// The [`LayerKind`] of each mappable layer, in network order — used to
@@ -448,6 +457,44 @@ mod tests {
         net.visit_params(&mut |_, _, _, g| {
             assert!(g.as_slice().iter().all(|&v| v == 0.0));
         });
+    }
+
+    /// Bits of every parameter gradient, in `visit_params` order.
+    fn grad_bits(net: &mut Network) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        net.visit_params(&mut |_, _, _, g| {
+            out.push(g.as_slice().iter().map(|v| v.to_bits()).collect());
+        });
+        out
+    }
+
+    /// `train_step` must leave the same parameter gradients, bit for bit, as
+    /// a layer-by-layer backward that still computes layer 0's input
+    /// gradient.
+    fn assert_train_step_matches_full_backward(mut net: Network, x: &Tensor, labels: &[usize]) {
+        let mut reference = net.clone();
+        net.train_step(x, labels).unwrap();
+        let logits = reference.forward(x, Mode::Train).unwrap();
+        let mut g = softmax_cross_entropy(&logits, labels).unwrap().grad_logits;
+        for layer in reference.layers_mut().iter_mut().rev() {
+            g = layer.backward(&g).unwrap();
+        }
+        assert_eq!(g.dims(), x.dims(), "the reference computed the input gradient");
+        assert_eq!(grad_bits(&mut net), grad_bits(&mut reference));
+    }
+
+    #[test]
+    fn train_step_param_grads_match_full_backward_mlp() {
+        let x = Tensor::from_fn([5, 4], |i| (i as f32 * 0.37).sin());
+        assert_train_step_matches_full_backward(mlp(13), &x, &[0, 1, 2, 1, 0]);
+    }
+
+    #[test]
+    fn train_step_param_grads_match_full_backward_conv_first() {
+        let net = crate::models::lenet5(1, 3, &mut StdRng::seed_from_u64(14)).unwrap();
+        assert_eq!(net.layers()[0].kind(), LayerKind::Convolution);
+        let x = Tensor::from_fn([2, net.in_features()], |i| (i as f32 * 0.013).cos());
+        assert_train_step_matches_full_backward(net, &x, &[2, 0]);
     }
 
     #[test]

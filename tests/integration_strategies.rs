@@ -92,10 +92,28 @@ fn accuracy_is_maintained_by_skewed_training() {
     );
 }
 
+/// FNV-1a over the bits of every session's `pre_tune_accuracy`, `accuracy`
+/// and `per_layer_mean_r_max`, in session order.
+fn session_digest(sessions: &[memaging::lifetime::SessionRecord]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for s in sessions {
+        let values = [s.pre_tune_accuracy, s.accuracy]
+            .into_iter()
+            .chain(s.per_layer_mean_r_max.iter().copied());
+        for value in values {
+            for byte in value.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
 /// Pins the quick scenario's lifetime pipeline to recorded bits: lifetime,
-/// per-session tuning effort and the final summed tile stress of each
-/// strategy. Digests elsewhere compare two runs of the same build; this
-/// catches any change to the simulated physics itself, however small.
+/// per-session tuning effort, a digest of the per-session accuracies and
+/// aged bounds, and the final summed tile stress of each strategy. Digests
+/// elsewhere compare two runs of the same build; this catches any change to
+/// the simulated physics itself, however small.
 #[test]
 fn quick_lifetime_is_pinned_bit_for_bit() {
     let mut scenario = Scenario::quick();
@@ -105,8 +123,8 @@ fn quick_lifetime_is_pinned_bit_for_bit() {
     // Per strategy: lifetime applications, per-session
     // (tuning_iterations, tuning_pulses) as runs `(k, (i, p))` of k
     // sessions in a row that each took i iterations and p pulses, and the
-    // bits of the final summed tile stress.
-    type Pin = (Strategy, u64, &'static [(usize, (usize, u64))], u64);
+    // bits of the final summed tile stress, and the session digest.
+    type Pin = (Strategy, u64, &'static [(usize, (usize, u64))], u64, u64);
     let expected: [Pin; 3] = [
         (
             Strategy::TT,
@@ -129,6 +147,7 @@ fn quick_lifetime_is_pinned_bit_for_bit() {
                 (1, (100, 3128)),
             ],
             0x3ff8_62d8_7290_1631,
+            0x80a0_695b_85eb_c3fb,
         ),
         (
             Strategy::StT,
@@ -158,6 +177,7 @@ fn quick_lifetime_is_pinned_bit_for_bit() {
                 (1, (100, 25711)),
             ],
             0x3ffe_2184_5939_1819,
+            0xfc5a_3f24_2722_a526,
         ),
         (
             Strategy::StAt,
@@ -190,11 +210,14 @@ fn quick_lifetime_is_pinned_bit_for_bit() {
                 (1, (100, 15376)),
             ],
             0x3ffc_ecb3_8dc9_df7d,
+            0xb0dd_9508_1f45_a569,
         ),
     ];
     let outcomes = scenario.run_all().unwrap();
     assert_eq!(outcomes.len(), expected.len());
-    for (outcome, (strategy, applications, runs, stress_bits)) in outcomes.iter().zip(expected) {
+    for (outcome, (strategy, applications, runs, stress_bits, digest)) in
+        outcomes.iter().zip(expected)
+    {
         let lifetime = &outcome.lifetime;
         assert_eq!(outcome.strategy, strategy);
         assert!(lifetime.failed, "{strategy:?} must fail before the session cap");
@@ -210,5 +233,7 @@ fn quick_lifetime_is_pinned_bit_for_bit() {
             stress_bits,
             "{strategy:?} final summed tile stress {stress:e} drifted"
         );
+        let got = session_digest(&lifetime.sessions);
+        assert_eq!(got, digest, "{strategy:?} session digest {got:#018x} drifted");
     }
 }
