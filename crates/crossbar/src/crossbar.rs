@@ -177,8 +177,9 @@ impl Crossbar {
         self.equilibrated_own_stress = total_own;
         let per_device = self.thermal_coupling * delta / self.devices.len() as f64;
         if per_device > 0.0 {
+            let arrhenius = self.arrhenius_factor();
             for d in &mut self.devices {
-                d.absorb_ambient_stress(per_device);
+                d.absorb_ambient_stress_with_factor(per_device, arrhenius);
             }
         }
         per_device
@@ -224,6 +225,10 @@ impl Crossbar {
     /// `[rows, cols]` tensor. Dead devices are skipped (counted in the
     /// stats); clipped targets are counted as well.
     ///
+    /// Devices are independent, so contiguous row bands program on the
+    /// worker pool: every device ends bit-identical to a serial pass at
+    /// any thread count, and an error is the one a serial pass returns.
+    ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::DimensionMismatch`] if the tensor shape
@@ -232,32 +237,22 @@ impl Crossbar {
         &mut self,
         targets: &Tensor,
     ) -> Result<ProgramStats, CrossbarError> {
-        if targets.dims() != [self.rows, self.cols] {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "conductance targets",
-                expected: (self.rows, self.cols),
-                actual: if targets.rank() == 2 {
-                    (targets.dims()[0], targets.dims()[1])
-                } else {
-                    (targets.len(), 0)
-                },
-            });
-        }
-        let mut stats = ProgramStats::default();
-        for (i, device) in self.devices.iter_mut().enumerate() {
+        self.check_targets(targets)?;
+        let arrhenius = self.arrhenius_factor();
+        self.program_banded(targets.as_slice(), |device, target, stats| {
             if device.is_worn_out() {
                 stats.dead += 1;
-                continue;
+                return Ok(());
             }
-            let g = Siemens::new(targets.as_slice()[i] as f64).map_err(CrossbarError::from)?;
-            let outcome = device.program_conductance(g)?;
+            let g = Siemens::new(target as f64)?;
+            let outcome = device.program_conductance_with_factor(g, arrhenius)?;
             stats.pulses += outcome.pulses;
             stats.programmed += 1;
             if outcome.clipped() {
                 stats.clipped += 1;
             }
-        }
-        Ok(stats)
+            Ok(())
+        })
     }
 
     /// Delta programming: like [`Crossbar::program_conductances`], but a
@@ -299,17 +294,8 @@ impl Crossbar {
         targets: &Tensor,
         tolerance: f64,
     ) -> Result<ProgramStats, CrossbarError> {
-        if targets.dims() != [self.rows, self.cols] {
-            return Err(CrossbarError::DimensionMismatch {
-                what: "conductance targets",
-                expected: (self.rows, self.cols),
-                actual: if targets.rank() == 2 {
-                    (targets.dims()[0], targets.dims()[1])
-                } else {
-                    (targets.len(), 0)
-                },
-            });
-        }
+        self.check_targets(targets)?;
+        let arrhenius = self.arrhenius_factor();
         let spec = *self.devices[0].spec();
         let aging = *self.devices[0].aging();
         let quantizer = self.devices[0].quantizer();
@@ -325,16 +311,15 @@ impl Crossbar {
             .collect();
         let top = (spec.levels - 1) as f64;
         let slack = tolerance.max(1e-9);
-        let mut stats = ProgramStats::default();
-        for (i, device) in self.devices.iter_mut().enumerate() {
-            let g = match Siemens::new(targets.as_slice()[i] as f64) {
+        self.program_banded(targets.as_slice(), |device, target, stats| {
+            let g = match Siemens::new(target as f64) {
                 Ok(g) => g,
                 Err(e) => {
                     // Match the full path's order: a worn-out device is
                     // counted dead before its target is even validated.
                     if device.is_worn_out() {
                         stats.dead += 1;
-                        continue;
+                        return Ok(());
                     }
                     return Err(CrossbarError::from(e));
                 }
@@ -353,20 +338,90 @@ impl Crossbar {
                     } else {
                         stats.skipped_tolerance += 1;
                     }
-                    continue;
+                    return Ok(());
                 }
             }
             if device.is_worn_out() {
                 stats.dead += 1;
-                continue;
+                return Ok(());
             }
-            let outcome = device.program_conductance(g)?;
+            let outcome = device.program_conductance_with_factor(g, arrhenius)?;
             stats.pulses += outcome.pulses;
             stats.programmed += 1;
             stats.rewritten += 1;
             if outcome.clipped() {
                 stats.clipped += 1;
             }
+            Ok(())
+        })
+    }
+
+    /// Rejects a target tensor whose shape differs from the array.
+    fn check_targets(&self, targets: &Tensor) -> Result<(), CrossbarError> {
+        if targets.dims() == [self.rows, self.cols] {
+            return Ok(());
+        }
+        Err(CrossbarError::DimensionMismatch {
+            what: "conductance targets",
+            expected: (self.rows, self.cols),
+            actual: if targets.rank() == 2 {
+                (targets.dims()[0], targets.dims()[1])
+            } else {
+                (targets.len(), 0)
+            },
+        })
+    }
+
+    /// The Arrhenius factor every device of the array shares (see
+    /// [`Memristor::arrhenius_factor`]).
+    fn arrhenius_factor(&self) -> f64 {
+        self.devices[0].arrhenius_factor()
+    }
+
+    /// Runs `program(device, target, stats)` over every device in device
+    /// order, split into one contiguous row band per worker thread. Devices
+    /// are independent, so each ends bit-identical to a serial pass at any
+    /// thread count; the integer stats merge in band order.
+    ///
+    /// The serial pass stops at the first error. The one error a live
+    /// device can meet, an invalid target, is found before any band runs:
+    /// only the devices before it are programmed, as in the serial pass,
+    /// and its error is returned. Otherwise the error returned is the
+    /// first in device order.
+    fn program_banded(
+        &mut self,
+        targets: &[f32],
+        program: impl Fn(&mut Memristor, f32, &mut ProgramStats) -> Result<(), CrossbarError> + Sync,
+    ) -> Result<ProgramStats, CrossbarError> {
+        let invalid = self
+            .devices
+            .iter()
+            .zip(targets)
+            .position(|(device, &t)| !device.is_worn_out() && Siemens::new(t as f64).is_err());
+        let end = invalid.unwrap_or(targets.len());
+        let threads = memaging_par::num_threads();
+        let band = self.rows.div_ceil(threads) * self.cols;
+        let mut bands: Vec<_> = self.devices[..end]
+            .chunks_mut(band)
+            .zip(targets[..end].chunks(band))
+            .map(|(devices, targets)| (devices, targets, Ok(ProgramStats::default())))
+            .collect();
+        memaging_par::par_chunks_mut(&mut bands, 1, threads, |_, lane| {
+            let (devices, targets, outcome) = &mut lane[0];
+            let mut stats = ProgramStats::default();
+            *outcome = devices
+                .iter_mut()
+                .zip(targets.iter())
+                .try_for_each(|(device, &target)| program(device, target, &mut stats))
+                .map(|()| stats);
+        });
+        let mut stats = ProgramStats::default();
+        for (_, _, outcome) in bands {
+            stats.merge(outcome?);
+        }
+        if let Some(i) = invalid {
+            // Fails: device `i`'s target is the invalid one.
+            Siemens::new(targets[i] as f64)?;
         }
         Ok(stats)
     }
@@ -499,27 +554,29 @@ impl Crossbar {
     /// Mean aged upper resistance bound over all devices — the quantity the
     /// paper plots per layer in Fig. 11.
     pub fn mean_aged_r_max(&self) -> f64 {
-        let n = self.devices.len() as f64;
-        self.devices.iter().map(|d| d.aged_window().r_max).sum::<f64>() / n
+        let (n, arrhenius) = (self.devices.len() as f64, self.arrhenius_factor());
+        self.devices.iter().map(|d| d.aged_window_with_factor(arrhenius).r_max).sum::<f64>() / n
     }
 
     /// A point-in-time wear summary of the whole array — the per-tile record
     /// behind the monitor's `/wear` heatmap and the lifetime health
     /// forecaster.
     pub fn wear_snapshot(&self) -> TileWear {
+        let arrhenius = self.arrhenius_factor();
+        let mut sums = WindowSums::default();
+        for device in &self.devices {
+            sums.add(device.aged_window_with_factor(arrhenius));
+        }
+        self.tile_wear(sums)
+    }
+
+    /// The array's [`TileWear`] from the running sums of every device's
+    /// aged window.
+    fn tile_wear(&self, sums: WindowSums) -> TileWear {
         let fresh_width = (self.devices[0].spec().r_max - self.devices[0].spec().r_min).max(1e-12);
         let n = self.devices.len() as f64;
-        let mut mean_r_max = 0.0;
-        let mut mean_r_min = 0.0;
-        let mut min_width = f64::INFINITY;
-        for device in &self.devices {
-            let w = device.aged_window();
-            mean_r_max += w.r_max;
-            mean_r_min += w.r_min;
-            min_width = min_width.min(w.width());
-        }
-        mean_r_max /= n;
-        mean_r_min /= n;
+        let WindowSums { r_max: mean_r_max, r_min: mean_r_min, min_width } = sums;
+        let (mean_r_max, mean_r_min) = (mean_r_max / n, mean_r_min / n);
         TileWear {
             rows: self.rows,
             cols: self.cols,
@@ -549,21 +606,49 @@ impl Crossbar {
     /// them. This is what keeps the serving tier bit-identical across
     /// thread counts.
     ///
+    /// Returns the array's [`Crossbar::wear_snapshot`] after the accrual,
+    /// summed from the aged windows the accrual itself derived — so a
+    /// maintenance boundary evaluates each device's aging law once.
+    ///
     /// # Panics
     ///
     /// Panics if `stress_per_read` is negative or non-finite.
-    pub fn apply_read_disturb(&mut self, reads: u64, stress_per_read: f64) {
+    pub fn apply_read_disturb(&mut self, reads: u64, stress_per_read: f64) -> TileWear {
         assert!(
             stress_per_read.is_finite() && stress_per_read >= 0.0,
             "stress_per_read must be finite and >= 0, got {stress_per_read}"
         );
         if reads == 0 || stress_per_read == 0.0 {
-            return;
+            return self.wear_snapshot();
         }
-        let delta = reads as f64 * stress_per_read;
+        let (delta, arrhenius) = (reads as f64 * stress_per_read, self.arrhenius_factor());
+        let mut sums = WindowSums::default();
         for device in &mut self.devices {
-            device.absorb_ambient_stress(delta);
+            sums.add(device.absorb_ambient_stress_with_factor(delta, arrhenius));
         }
+        self.tile_wear(sums)
+    }
+}
+
+/// Running sums over an array's aged windows in device order: the
+/// window-derived fields of a [`TileWear`].
+struct WindowSums {
+    r_max: f64,
+    r_min: f64,
+    min_width: f64,
+}
+
+impl Default for WindowSums {
+    fn default() -> Self {
+        WindowSums { r_max: 0.0, r_min: 0.0, min_width: f64::INFINITY }
+    }
+}
+
+impl WindowSums {
+    fn add(&mut self, w: AgedWindow) {
+        self.r_max += w.r_max;
+        self.r_min += w.r_min;
+        self.min_width = self.min_width.min(w.width());
     }
 }
 
@@ -597,6 +682,23 @@ mod tests {
         assert!((snap.mean_r_min - spec.r_min).abs() < 1e-9);
         assert!((snap.mean_window_fraction - 1.0).abs() < 1e-12);
         assert!((snap.min_window_width - (spec.r_max - spec.r_min)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn read_disturb_returns_the_wear_snapshot() {
+        let mut x = xbar(6, 5);
+        for (i, device) in x.devices.iter_mut().enumerate() {
+            for _ in 0..i % 7 {
+                let _ = device.pulse(1).and_then(|()| device.pulse(-1));
+            }
+        }
+        for (reads, stress) in [(0, 1e-3), (64, 0.0), (64, 2e-6), (1, 5e-4)] {
+            let fused = x.apply_read_disturb(reads, stress);
+            let fresh = x.wear_snapshot();
+            assert_eq!(format!("{fused:?}"), format!("{fresh:?}"), "{reads} reads of {stress}");
+            assert_eq!(fused.mean_r_max.to_bits(), fresh.mean_r_max.to_bits());
+            assert_eq!(fused.min_window_width.to_bits(), fresh.min_window_width.to_bits());
+        }
     }
 
     #[test]
@@ -877,5 +979,88 @@ mod tests {
             x.program_conductances_delta(&Tensor::full([2, 3], 1e-4), 0.0),
             Err(CrossbarError::DimensionMismatch { .. })
         ));
+    }
+
+    /// The serial reference of [`Crossbar::program_conductances`]: one pass
+    /// in device order through the plain single-device API, stopping at
+    /// the first error.
+    fn serial_program(x: &mut Crossbar, targets: &Tensor) -> Result<ProgramStats, CrossbarError> {
+        let mut stats = ProgramStats::default();
+        for (device, &t) in x.devices.iter_mut().zip(targets.as_slice()) {
+            if device.is_worn_out() {
+                stats.dead += 1;
+                continue;
+            }
+            let outcome = device.program_conductance(Siemens::new(t as f64)?)?;
+            stats.pulses += outcome.pulses;
+            stats.programmed += 1;
+            stats.clipped += usize::from(outcome.clipped());
+        }
+        Ok(stats)
+    }
+
+    /// Every device's state, bit for bit.
+    fn device_bits(x: &Crossbar) -> Vec<[u64; 4]> {
+        x.devices
+            .iter()
+            .map(|d| {
+                let w = d.aged_window();
+                [
+                    d.stress().to_bits(),
+                    d.grid_position().to_bits(),
+                    w.r_max.to_bits(),
+                    d.pulse_count(),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn banded_programming_matches_a_serial_pass() {
+        let spec = DeviceSpec::default();
+        let aging = ArrheniusAging { a_f: 1.0e17, a_g: 1.0e16, ..ArrheniusAging::default() };
+        let (rows, cols) = (13, 7);
+        let mut worn = Crossbar::new(rows, cols, spec, aging).unwrap();
+        // Worn-out devices in every band, and uneven wear on the rest.
+        for (i, device) in worn.devices.iter_mut().enumerate() {
+            if i % 5 == 0 {
+                device.force_worn_out();
+            } else {
+                for _ in 0..i % 4 {
+                    let _ = device.pulse(1).and_then(|()| device.pulse(-1));
+                }
+            }
+        }
+        let good = Tensor::from_fn([rows, cols], |i| {
+            let level = (i * 11) % spec.levels;
+            (1.0 / (spec.r_min + level as f64 * spec.level_width())) as f32
+        });
+        // Invalid targets: on worn-out devices (counted dead, no error) and
+        // on live devices 41 and 62 (the first of which is the error).
+        let mut bad = good.clone();
+        for (i, t) in [(0, f32::NAN), (40, -1.0), (41, 0.0), (62, f32::INFINITY)] {
+            bad.as_mut_slice()[i] = t;
+        }
+        for targets in [&good, &bad] {
+            let mut serial = worn.clone();
+            let want = serial_program(&mut serial, targets);
+            let mut delta_stats = None;
+            for threads in [1, 2, 8] {
+                memaging_par::set_threads(threads);
+                let mut full = worn.clone();
+                assert_eq!(full.program_conductances(targets), want, "{threads} threads");
+                assert_eq!(device_bits(&full), device_bits(&serial), "{threads} threads");
+                // At zero tolerance the delta path lands every device where
+                // the serial full pass does, with the same error; its own
+                // stats do not depend on the thread count.
+                let mut delta = worn.clone();
+                let got = delta.program_conductances_delta(targets, 0.0);
+                assert_eq!(got.as_ref().err(), want.as_ref().err(), "{threads} threads");
+                assert_eq!(device_bits(&delta), device_bits(&serial), "{threads} threads");
+                assert_eq!(*delta_stats.get_or_insert(got.clone()), got, "{threads} threads");
+            }
+            memaging_par::set_threads(0);
+        }
+        assert!(serial_program(&mut worn.clone(), &bad).is_err(), "the bad targets must fail");
     }
 }

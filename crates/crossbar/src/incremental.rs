@@ -179,8 +179,8 @@ pub(crate) struct EvalEngine {
     prefix: Option<EvalContext>,
     /// Bumped per map epoch; contexts lazily re-sync trained weights.
     generation: u64,
-    /// Bumped per sweep (and per hysteresis re-check): tags the validity
-    /// window of each worker's sparse-delta anchor.
+    /// Bumped per sweep: tags the validity window of each worker's
+    /// sparse-delta anchor.
     sweep_seq: u64,
     /// Arena for the serial candidate-matrix build on the driving thread.
     arena: ScratchArena,
@@ -190,6 +190,50 @@ pub(crate) struct EvalEngine {
     /// candidate, plus spares recycled from earlier sweeps' uniques.
     coded: CodedMatrix,
     coded_spare: Vec<CodedMatrix>,
+    /// What a sweep reuses across map epochs, per mappable layer.
+    layers: Vec<LayerReuse>,
+    /// The calibration inputs the cached prefix activations were forwarded
+    /// from.
+    calib: CalibKey,
+    /// Source of change stamps: every observed change of a cache input
+    /// takes the next value, so stamps only grow.
+    stamp: u64,
+}
+
+/// One mappable layer's cross-epoch caches. Each is keyed by the exact bits
+/// of what it was computed from, compared against a retained copy — the
+/// trained weights stay fixed between remaps, so a live remap reuses both.
+#[derive(Default)]
+struct LayerReuse {
+    /// Retained copy of the layer's trained weights.
+    weights: Vec<f32>,
+    /// Stamp of the last change of `weights`.
+    changed: u64,
+    /// The weight sort of `weights`, once a sweep of this layer needed it.
+    order: Option<WeightOrder>,
+    /// Prefix activations below this layer.
+    prefix: Option<CachedPrefix>,
+}
+
+/// A layer's prefix activations and what they were computed from.
+struct CachedPrefix {
+    /// The largest change stamp among their inputs: the calibration set
+    /// and the trained weights of every lower layer.
+    inputs: u64,
+    /// Whether the batches carry quantized activation codes.
+    quantized: bool,
+    batches: Vec<PrefixBatch>,
+}
+
+/// The calibration set behind the cached prefix activations.
+#[derive(Default)]
+struct CalibKey {
+    dims: Vec<usize>,
+    images: Vec<f32>,
+    labels: Vec<usize>,
+    batch: usize,
+    /// Stamp of the last change of any of the above.
+    changed: u64,
 }
 
 impl EvalEngine {
@@ -203,6 +247,9 @@ impl EvalEngine {
             builder: CandidateBuilder::default(),
             coded: CodedMatrix::default(),
             coded_spare: Vec::new(),
+            layers: Vec::new(),
+            calib: CalibKey::default(),
+            stamp: 0,
         }
     }
 
@@ -213,15 +260,20 @@ impl EvalEngine {
     }
 
     /// Runs the full candidate sweep for one layer, returning the selection
-    /// [`crate::select_range`] would have produced.
+    /// [`crate::select_range`] would have produced. With `prev` (the
+    /// hysteresis anchor: the window the layer was last mapped against),
+    /// also returns that window's exact accuracy, scored in the same pass:
+    /// its matrix is one more build, deduplicated against the candidates,
+    /// and its unique is never pruned.
     pub(crate) fn sweep(
         &mut self,
         software: &Network,
         estimates: &[TracedEstimate],
         fresh_r_min: f64,
         p: &SweepParams<'_>,
+        prev: Option<AgedWindow>,
         recorder: &Recorder,
-    ) -> Result<RangeSelection, CrossbarError> {
+    ) -> Result<Selected, CrossbarError> {
         let _sweep_span = recorder.span(names::MAP_SWEEP);
         self.sweep_seq += 1;
         let sweep_seq = self.sweep_seq;
@@ -232,18 +284,24 @@ impl EvalEngine {
         }
         let candidates = candidate_upper_bounds(estimates, fresh_r_min);
         if candidates.is_empty() {
-            return fold_candidates(fresh_r_min, std::iter::empty());
+            return fold_candidates(fresh_r_min, std::iter::empty())
+                .map(|selection| (selection, None));
         }
 
-        let prefix = self.prefix_activations(software, p, recorder)?;
-        let range =
-            WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
+        self.refresh_keys(p);
+        let cached_prefix = self.prefix_activations(software, p, recorder)?;
+        let prefix = &cached_prefix.batches;
+        let weights = p.trained[p.layer].as_slice();
+        let order = self.layers[p.layer].order.get_or_insert_with(|| WeightOrder::new(weights));
+        let range = WeightRange::from_sorted_percentile(weights, &order.sorted, p.percentile)?;
 
-        // Serial build of every candidate's simulated weight matrix, with
-        // bitwise deduplication: adjacent candidate bounds frequently
-        // quantize to the same matrix, and equal matrices evaluate equal.
+        // Serial build of every candidate's simulated weight matrix — and of
+        // the hysteresis window's, last — with bitwise deduplication:
+        // adjacent candidate bounds frequently quantize to the same matrix,
+        // the previous window often equals one of them, and equal matrices
+        // evaluate equal.
         let build_span = recorder.span(names::MAP_BUILD);
-        self.builder.prepare(p.trained[p.layer], p.blocks, p.spec)?;
+        self.builder.prepare(order, p.trained[p.layer].dims()[1], p.blocks, p.spec)?;
         let n_cells = p.trained[p.layer].len();
         let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
         let mut uniques: Vec<Vec<f32>> = Vec::new();
@@ -256,9 +314,11 @@ impl EvalEngine {
         let mut sweep_peak = 0.0f64;
         let mut hashes: Vec<u64> = Vec::new();
         let mut first_pos: Vec<usize> = Vec::new();
-        let mut groups: Vec<Result<usize, CrossbarError>> = Vec::with_capacity(candidates.len());
-        for (pos, &r_max) in candidates.iter().enumerate() {
-            let window = AgedWindow { r_min: fresh_r_min, r_max };
+        let mut groups: Vec<Result<usize, CrossbarError>> =
+            Vec::with_capacity(candidates.len() + 1);
+        let windows =
+            candidates.iter().map(|&r_max| AgedWindow { r_min: fresh_r_min, r_max }).chain(prev);
+        for (pos, window) in windows.enumerate() {
             let mapping = match WeightMapping::from_range(range, window) {
                 Ok(m) => m,
                 Err(e) => {
@@ -267,8 +327,12 @@ impl EvalEngine {
                 }
             };
             let mut buf = self.arena.take(n_cells);
-            let complete =
-                self.builder.build(&mapping, &mut buf, p.quantized.then_some(&mut self.coded));
+            let complete = self.builder.build(
+                order,
+                &mapping,
+                &mut buf,
+                p.quantized.then_some(&mut self.coded),
+            );
             let hash = hash_bits(&buf);
             let existing = hashes
                 .iter()
@@ -300,6 +364,10 @@ impl EvalEngine {
                 }
             }
         }
+        // The hysteresis window's group: a unique of its own sits at fold
+        // position `candidates.len()`, past every candidate, so it never
+        // tightens a candidate's prune bound.
+        let prev_group = prev.and_then(|_| groups.pop());
 
         // Second pass of quantized mode: build every unique's fixed-point
         // matrix with the sweep-shared step, making all candidate codes
@@ -329,9 +397,11 @@ impl EvalEngine {
         drop(build_span);
 
         // Parallel evaluation of the unique matrices on the persistent
-        // worker contexts, with exact-bound pruning.
+        // worker contexts, with exact-bound pruning — except for the unique
+        // the hysteresis window maps to, whose accuracy must be exact.
         self.pool.ensure_slots(memaging_par::num_threads());
-        let gate = PruneGate::new(&first_pos);
+        let exact = prev_group.as_ref().and_then(|g| g.as_ref().ok().copied());
+        let gate = PruneGate::new(&first_pos, exact);
         let pool = &self.pool;
         let generation = self.generation;
         let results: Vec<Result<f64, CrossbarError>> = memaging_par::par_map_init(
@@ -343,7 +413,7 @@ impl EvalEngine {
                     ctx,
                     &uniques[u],
                     quniques.get(u),
-                    &prefix,
+                    prefix,
                     p,
                     sweep_seq,
                     Some((first_pos[u], u, &gate)),
@@ -352,94 +422,97 @@ impl EvalEngine {
                 )
             },
         );
+        self.layers[p.layer].prefix = Some(cached_prefix);
 
         // Re-expand unique results to candidate order and fold exactly like
         // the naive sweep. An error is moved out at its first (widest)
         // duplicate position; the fold stops there, so the placeholder left
-        // behind is never read.
+        // behind is never read — and the hysteresis result, taken after,
+        // matters only when the fold succeeded, i.e. met no error.
         let mut unique_results = results;
-        let mut per_candidate: Vec<(f64, Result<f64, CrossbarError>)> =
-            Vec::with_capacity(candidates.len());
-        for (pos, group) in groups.into_iter().enumerate() {
-            let result = match group {
-                Ok(u) => match &unique_results[u] {
-                    Ok(a) => Ok(*a),
-                    Err(_) => std::mem::replace(&mut unique_results[u], Ok(f64::NEG_INFINITY)),
-                },
-                Err(e) => Err(e),
-            };
-            per_candidate.push((candidates[pos], result));
-        }
+        let mut take = |u: usize| match &unique_results[u] {
+            Ok(a) => Ok(*a),
+            Err(_) => std::mem::replace(&mut unique_results[u], Ok(f64::NEG_INFINITY)),
+        };
+        let per_candidate: Vec<(f64, Result<f64, CrossbarError>)> = groups
+            .into_iter()
+            .zip(&candidates)
+            .map(|(group, &r_max)| (r_max, group.and_then(&mut take)))
+            .collect();
+        let prev_accuracy = prev_group.map(|group| group.and_then(&mut take));
         for buf in uniques {
             self.arena.give(buf);
         }
         fold_candidates(fresh_r_min, per_candidate.into_iter())
+            .map(|selection| (selection, prev_accuracy))
     }
 
-    /// Evaluates a single window (the hysteresis re-check of the previous
-    /// epoch's window) with full accuracy — no pruning — on the worker-0
-    /// context. Bit-identical to the naive simulation of the same window.
-    pub(crate) fn evaluate_window(
-        &mut self,
-        software: &Network,
-        window: AgedWindow,
-        p: &SweepParams<'_>,
-        recorder: &Recorder,
-    ) -> Result<f64, CrossbarError> {
-        self.sweep_seq += 1;
-        let sweep_seq = self.sweep_seq;
-        let prefix = self.prefix_activations(software, p, recorder)?;
-        let range =
-            WeightRange::from_weights_percentile(p.trained[p.layer].as_slice(), p.percentile)?;
-        let mapping = WeightMapping::from_range(range, window)?;
-        self.builder.prepare(p.trained[p.layer], p.blocks, p.spec)?;
-        let mut buf = self.arena.take(p.trained[p.layer].len());
-        let complete =
-            self.builder.build(&mapping, &mut buf, p.quantized.then_some(&mut self.coded));
-        let qmat = p.quantized.then(|| {
-            let (m_rows, m_cols) = (p.trained[p.layer].dims()[0], p.trained[p.layer].dims()[1]);
-            recorder.counter("mapping.coded_fallbacks", u64::from(!complete));
-            if complete {
-                QuantizedMatrix::from_level_codes(
-                    &self.coded.codes,
-                    &self.coded.values,
-                    m_rows,
-                    m_cols,
-                )
-                .expect("codes index into their value table")
-            } else {
-                QuantizedMatrix::from_f32(&buf, m_rows, m_cols)
-                    .expect("candidate matrix sized rows × cols")
+    /// The change stamps: one per layer's trained weights, then the
+    /// calibration set's.
+    #[cfg(test)]
+    pub(crate) fn stamps(&self) -> Vec<u64> {
+        self.layers.iter().map(|l| l.changed).chain([self.calib.changed]).collect()
+    }
+
+    /// Compares the sweep's inputs against the retained copies bit for bit,
+    /// stamping every change: a layer whose trained weights changed drops
+    /// its weight sort, and the stamps invalidate exactly the prefix
+    /// activations computed from changed inputs.
+    fn refresh_keys(&mut self, p: &SweepParams<'_>) {
+        if self.layers.len() != p.trained.len() {
+            self.layers.clear();
+            self.layers.resize_with(p.trained.len(), LayerReuse::default);
+        }
+        for (layer, trained) in self.layers.iter_mut().zip(p.trained) {
+            if !bits_equal(&layer.weights, trained.as_slice()) {
+                self.stamp += 1;
+                layer.weights.clear();
+                layer.weights.extend_from_slice(trained.as_slice());
+                layer.changed = self.stamp;
+                layer.order = None;
             }
-        });
-        self.pool.ensure_slots(1);
-        let mut lease = lease_synced(&self.pool, 0, self.generation, software, p);
-        let ctx = lease.as_mut().expect("populated by lease_synced");
-        let acc =
-            evaluate_matrix(ctx, &buf, qmat.as_ref(), &prefix, p, sweep_seq, None, recorder, 0);
-        drop(lease);
-        self.arena.give(buf);
-        acc
+        }
+        let (images, key) = (p.data.images(), &mut self.calib);
+        let same = key.batch == p.batch
+            && key.dims == images.dims()
+            && key.labels == p.data.labels()
+            && bits_equal(&key.images, images.as_slice());
+        if !same {
+            self.stamp += 1;
+            *key = CalibKey {
+                dims: images.dims().to_vec(),
+                images: images.as_slice().to_vec(),
+                labels: p.data.labels().to_vec(),
+                batch: p.batch,
+                changed: self.stamp,
+            };
+        }
     }
 
-    /// Forwards the calibration batches through the unchanged layers
-    /// `0..net_layer` once, from fully trained weights. In quantized mode
-    /// each batch's activation is also quantized once here — every
-    /// candidate replays the same integer codes, so the mapped layer's
-    /// activation quantization leaves the per-candidate hot path.
+    /// The calibration batches forwarded through the unchanged layers
+    /// `0..net_layer`, from fully trained weights — reused while neither
+    /// those weights nor the calibration set changed (see
+    /// [`EvalEngine::refresh_keys`]). In quantized mode each batch's
+    /// activation is also quantized once here — every candidate replays
+    /// the same integer codes, so the mapped layer's activation
+    /// quantization leaves the per-candidate hot path.
     fn prefix_activations(
         &mut self,
         software: &Network,
         p: &SweepParams<'_>,
         recorder: &Recorder,
-    ) -> Result<Vec<PrefixBatch>, CrossbarError> {
+    ) -> Result<CachedPrefix, CrossbarError> {
         let _span = recorder.span(names::MAP_PREFIX);
-        let ctx = self.prefix.get_or_insert_with(|| EvalContext::new(software));
-        if ctx.generation != self.generation {
-            for (i, t) in p.trained.iter().enumerate() {
-                ctx.net.set_weight_matrix(i, t.as_slice())?;
+        let inputs =
+            self.layers[..p.layer].iter().map(|l| l.changed).fold(self.calib.changed, u64::max);
+        if let Some(cached) = self.layers[p.layer].prefix.take() {
+            if cached.inputs == inputs && cached.quantized == p.quantized {
+                return Ok(cached);
             }
-            ctx.generation = self.generation;
+        }
+        let ctx = self.prefix.get_or_insert_with(|| EvalContext::new(software));
+        for (i, t) in p.trained.iter().enumerate() {
+            ctx.net.set_weight_matrix(i, t.as_slice())?;
         }
         let mut out = Vec::new();
         for (input, labels) in p.data.batches(p.batch.max(1)) {
@@ -458,9 +531,13 @@ impl EvalEngine {
             };
             out.push(PrefixBatch { act, labels: labels.to_vec(), qcodes });
         }
-        Ok(out)
+        Ok(CachedPrefix { inputs, quantized: p.quantized, batches: out })
     }
 }
+
+/// A sweep's selection, plus the hysteresis window's exact accuracy when
+/// one was given.
+pub(crate) type Selected = (RangeSelection, Option<Result<f64, CrossbarError>>);
 
 /// One cached calibration batch of the sweep: the f32 prefix activation,
 /// its labels, and (in quantized mode) the integer activation codes shared
@@ -541,6 +618,29 @@ const NO_CODE: u16 = u16::MAX - 1;
 /// probing always finds a free slot.
 const CODE_SLOTS: usize = 512;
 
+/// One layer's cells in ascending weight order: the sort every sweep of
+/// the layer starts from. It depends on the trained weights alone, so
+/// [`EvalEngine`] keeps it across map epochs while they are unchanged.
+#[derive(Debug, Default)]
+struct WeightOrder {
+    /// The layer's weights in ascending total order (ties by cell index).
+    sorted: Vec<f32>,
+    /// Cell index of each sorted position.
+    cells: Vec<u32>,
+}
+
+impl WeightOrder {
+    fn new(weights: &[f32]) -> Self {
+        let mut cells: Vec<u32> =
+            (0..u32::try_from(weights.len()).expect("cell indices fit in u32")).collect();
+        cells.sort_unstable_by(|&a, &b| {
+            weights[a as usize].total_cmp(&weights[b as usize]).then(a.cmp(&b))
+        });
+        let sorted = cells.iter().map(|&i| weights[i as usize]).collect();
+        WeightOrder { sorted, cells }
+    }
+}
+
 /// Builds the simulated weight matrix of every candidate of one sweep from
 /// sorted level breakpoints (module docs, item 3).
 ///
@@ -548,8 +648,8 @@ const CODE_SLOTS: usize = 512;
 /// into the cell's estimated block window, inverse map — gives a level
 /// index that is monotone (non-increasing) in the weight: clamp, the affine
 /// map, `1/x`, `round` and `min` are each monotone under IEEE rounding. So
-/// [`CandidateBuilder::prepare`] sorts the cells by weight once per sweep,
-/// and [`CandidateBuilder::build`] finds each candidate's level runs with
+/// given the cells sorted by weight ([`WeightOrder`]),
+/// [`CandidateBuilder::build`] finds each candidate's level runs with
 /// at most `levels` searches over the sorted weights, whose probes
 /// evaluate the *same* float expressions as the chain. A cell's value then
 /// depends only on its level and its window, and is one of three: the
@@ -563,10 +663,6 @@ const CODE_SLOTS: usize = 512;
 #[derive(Debug, Default)]
 struct CandidateBuilder {
     quantizer: Option<Quantizer>,
-    /// The layer's weights in ascending total order (ties by cell index).
-    sorted: Vec<f32>,
-    /// Cell index of each sorted position.
-    cells: Vec<u32>,
     /// Resistance of every fresh level, ascending.
     level_r: Vec<f64>,
     /// Block-window index of each sorted position.
@@ -588,8 +684,9 @@ struct CandidateBuilder {
 }
 
 impl CandidateBuilder {
-    /// Sorts `trained`'s cells by weight and tabulates the fresh levels and
-    /// the block windows, for every later [`CandidateBuilder::build`].
+    /// Tabulates the fresh levels and the block windows of a layer with
+    /// `cols` columns whose cells `order` sorts, for every later
+    /// [`CandidateBuilder::build`] over the same order.
     ///
     /// # Panics
     ///
@@ -597,22 +694,15 @@ impl CandidateBuilder {
     /// chain's clamp does.
     fn prepare(
         &mut self,
-        trained: &Tensor,
+        order: &WeightOrder,
+        cols: usize,
         blocks: &BlockMap,
         spec: &DeviceSpec,
     ) -> Result<(), CrossbarError> {
         let quantizer = Quantizer::from_spec(spec)?;
         self.quantizer = Some(quantizer);
-        let (weights, cols) = (trained.as_slice(), trained.dims()[1]);
-        self.cells.clear();
-        self.cells.extend(0..u32::try_from(weights.len()).expect("cell indices fit in u32"));
-        self.cells.sort_unstable_by(|&a, &b| {
-            weights[a as usize].total_cmp(&weights[b as usize]).then(a.cmp(&b))
-        });
-        self.sorted.clear();
-        self.sorted.extend(self.cells.iter().map(|&i| weights[i as usize]));
         self.cell_windows.clear();
-        self.cell_windows.extend(self.cells.iter().map(|&i| {
+        self.cell_windows.extend(order.cells.iter().map(|&i| {
             let i = i as usize;
             blocks.window_index(i / cols, i % cols)
         }));
@@ -640,7 +730,8 @@ impl CandidateBuilder {
         Ok(())
     }
 
-    /// Fills `out` (cell order) with the simulated matrix of `mapping`.
+    /// Fills `out` (cell order) with the simulated matrix of `mapping` over
+    /// the weights `order` sorts (the order given to `prepare`).
     /// With `coded`, also fills its per-cell codes and distinct-value table
     /// and returns whether every value got a code: `false` when the matrix
     /// holds more than 256 distinct values, and the caller must quantize
@@ -652,14 +743,14 @@ impl CandidateBuilder {
     /// resistance.
     fn build(
         &mut self,
+        order: &WeightOrder,
         mapping: &WeightMapping,
         out: &mut [f32],
         mut coded: Option<&mut CodedMatrix>,
     ) -> bool {
+        let WeightOrder { sorted, cells } = order;
         let CandidateBuilder {
             quantizer,
-            sorted,
-            cells,
             level_r: _,
             cell_windows,
             window_levels,
@@ -924,7 +1015,7 @@ fn evaluate_matrix(
         correct += acc * labels.len() as f64;
         processed += labels.len();
         if let Some((pos, u, gate)) = prune {
-            if processed < n_total {
+            if processed < n_total && gate.may_prune(u) {
                 let upper = (correct + (n_total - processed) as f64) / n_total as f64;
                 if upper < gate.bound_before(pos) - PRUNE_SLACK {
                     let truncated = correct / n_total as f64;
@@ -988,14 +1079,23 @@ struct PruneGate {
     accs: Vec<AtomicU64>,
     /// Earliest fold position of each unique candidate.
     first_pos: Vec<usize>,
+    /// The unique that must run to completion (the hysteresis window's):
+    /// it reports its full accuracy, which the argument above covers.
+    exact: Option<usize>,
 }
 
 impl PruneGate {
-    fn new(first_pos: &[usize]) -> Self {
+    fn new(first_pos: &[usize], exact: Option<usize>) -> Self {
         PruneGate {
             accs: first_pos.iter().map(|_| AtomicU64::new(u64::MAX)).collect(),
             first_pos: first_pos.to_vec(),
+            exact,
         }
+    }
+
+    /// Whether unique `unique` may stop early.
+    fn may_prune(&self, unique: usize) -> bool {
+        self.exact != Some(unique)
     }
 
     /// Largest reported accuracy among completed uniques whose earliest
@@ -1072,10 +1172,18 @@ mod tests {
         bits.len()
     }
 
+    /// A builder prepared for `trained` over `blocks`, with its weight order.
+    fn prepared(trained: &Tensor, blocks: &BlockMap) -> (CandidateBuilder, WeightOrder) {
+        let order = WeightOrder::new(trained.as_slice());
+        let mut builder = CandidateBuilder::default();
+        builder.prepare(&order, trained.dims()[1], blocks, &DeviceSpec::default()).unwrap();
+        (builder, order)
+    }
+
     /// Builds `mapping` both ways, f32 and coded, and checks both against
     /// the naive per-cell chain bit for bit.
     fn assert_matches_chain(
-        builder: &mut CandidateBuilder,
+        (builder, order): &mut (CandidateBuilder, WeightOrder),
         trained: &Tensor,
         blocks: &BlockMap,
         mapping: &WeightMapping,
@@ -1084,12 +1192,15 @@ mod tests {
         let mut want = vec![0.0f32; trained.len()];
         simulate_layer_matrix(trained, mapping, &quantizer, blocks, &mut want);
         let mut got = vec![f32::NAN; trained.len()];
-        assert!(builder.build(mapping, &mut got, None), "uncoded builds are always complete");
+        assert!(
+            builder.build(order, mapping, &mut got, None),
+            "uncoded builds are always complete"
+        );
         assert!(bits_equal(&got, &want), "f32 build diverged from the chain");
 
         let mut coded = CodedMatrix::default();
         got.fill(f32::NAN);
-        let complete = builder.build(mapping, &mut got, Some(&mut coded));
+        let complete = builder.build(order, mapping, &mut got, Some(&mut coded));
         assert!(bits_equal(&got, &want), "coded build diverged from the chain");
         let distinct = distinct_bits(&want);
         assert_eq!(complete, distinct <= 256, "{distinct} distinct values");
@@ -1197,8 +1308,7 @@ mod tests {
             // A single window, or block windows cycled from the pool.
             let estimates = block_estimates(rows, cols, |b| windows[b % windows.len()]);
             let blocks = BlockMap::new(rows, cols, &estimates);
-            let mut builder = CandidateBuilder::default();
-            builder.prepare(&trained, &blocks, &spec).unwrap();
+            let mut builder = prepared(&trained, &blocks);
             // Several candidates per prepare, as in a sweep.
             for f in r_maxes {
                 let window = AgedWindow {
@@ -1218,8 +1328,7 @@ mod tests {
         let aged = AgedWindow { r_min: spec.r_min * 1.3, r_max: spec.r_max * 0.6 };
         let blocks = BlockMap::new(7, 5, &block_estimates(7, 5, |_| aged));
         assert_eq!(blocks.windows().len(), 1);
-        let mut builder = CandidateBuilder::default();
-        builder.prepare(&trained, &blocks, &spec).unwrap();
+        let mut builder = prepared(&trained, &blocks);
         let mapping =
             WeightMapping::new(-1.0, 1.0, AgedWindow { r_min: spec.r_min, r_max: spec.r_max })
                 .unwrap();
@@ -1246,8 +1355,7 @@ mod tests {
         let mut want = vec![0.0f32; rows * cols];
         simulate_layer_matrix(&trained, &mapping, &quantizer, &blocks, &mut want);
         assert!(distinct_bits(&want) > 256, "the case must exceed the code space");
-        let mut builder = CandidateBuilder::default();
-        builder.prepare(&trained, &blocks, &spec).unwrap();
+        let mut builder = prepared(&trained, &blocks);
         assert_matches_chain(&mut builder, &trained, &blocks, &mapping);
     }
 
@@ -1273,11 +1381,10 @@ mod tests {
                 simulate_layer_matrix(&trained, &mapping, &quantizer, &blocks, &mut out);
             });
             assert!(chain.is_err(), "the chain rejects a NaN weight");
-            let mut builder = CandidateBuilder::default();
-            builder.prepare(&trained, &blocks, &spec).unwrap();
+            let (mut builder, order) = prepared(&trained, &blocks);
             let built = std::panic::catch_unwind(move || {
                 let mut out = vec![0.0f32; 12];
-                builder.build(&mapping, &mut out, None);
+                builder.build(&order, &mapping, &mut out, None);
             });
             assert!(built.is_err(), "a NaN weight must not be mapped silently");
         }
@@ -1285,7 +1392,7 @@ mod tests {
 
     #[test]
     fn prune_gate_bound_ignores_pending_and_later_positions() {
-        let gate = PruneGate::new(&[0, 3, 7]);
+        let gate = PruneGate::new(&[0, 3, 7], None);
         assert_eq!(gate.bound_before(0), f64::NEG_INFINITY);
         gate.complete(1, 0.9); // first_pos 3
         assert_eq!(gate.bound_before(3), f64::NEG_INFINITY, "own position excluded");
@@ -1299,7 +1406,7 @@ mod tests {
     fn exact_bound_boundary_does_not_prune() {
         // The certified bound equals the reachable upper bound exactly:
         // upper == bound must NOT prune (upper < bound - slack is false).
-        let gate = PruneGate::new(&[0, 1]);
+        let gate = PruneGate::new(&[0, 1], None);
         gate.complete(0, 0.6);
         let bound = gate.bound_before(1);
         let upper = 0.6; // remaining samples could exactly reach the bound

@@ -97,25 +97,40 @@ impl WeightRange {
         weights: &[f32],
         percentile: f64,
     ) -> Result<Self, CrossbarError> {
-        if weights.is_empty() {
-            return Err(CrossbarError::InvalidMapping {
-                reason: "cannot derive weight range from empty slice".into(),
-            });
-        }
-        if !(0.0..0.5).contains(&percentile) {
-            return Err(CrossbarError::InvalidMapping {
-                reason: format!("percentile {percentile} not in [0, 0.5)"),
-            });
-        }
+        let ki = percentile_rank(weights, percentile)?;
         // Order statistics via O(n) selection: the k-th element under a
         // total order is a property of the multiset, so this is
         // bit-identical to fully sorting — it runs on every candidate
         // sweep of every remap, so the n·log n sort was measurable.
         let mut buf: Vec<f32> = weights.to_vec();
         let len = buf.len();
-        let ki = (((len as f64) * percentile).floor() as usize).min(len - 1);
         let lo = *buf.select_nth_unstable_by(ki, f32::total_cmp).1 as f64;
         let hi = *buf.select_nth_unstable_by(len - 1 - ki, f32::total_cmp).1 as f64;
+        WeightRange::clipped_or_full(weights, lo, hi)
+    }
+
+    /// [`WeightRange::from_weights_percentile`] read off `sorted`, the same
+    /// weights already in ascending [`f32::total_cmp`] order: the k-th
+    /// element of a total order is a property of the multiset, so the
+    /// range has the same bits without a selection pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`WeightRange::from_weights_percentile`].
+    pub(crate) fn from_sorted_percentile(
+        weights: &[f32],
+        sorted: &[f32],
+        percentile: f64,
+    ) -> Result<Self, CrossbarError> {
+        debug_assert_eq!(weights.len(), sorted.len());
+        let ki = percentile_rank(weights, percentile)?;
+        let (lo, hi) = (sorted[ki] as f64, sorted[sorted.len() - 1 - ki] as f64);
+        WeightRange::clipped_or_full(weights, lo, hi)
+    }
+
+    /// The clipped range `[lo, hi]`, or the full range of `weights` when
+    /// the clipped one collapses.
+    fn clipped_or_full(weights: &[f32], lo: f64, hi: f64) -> Result<Self, CrossbarError> {
         if hi <= lo {
             return WeightRange::from_weights(weights);
         }
@@ -131,6 +146,22 @@ impl WeightRange {
     pub fn hi(&self) -> f64 {
         self.hi
     }
+}
+
+/// The order-statistic rank of the lower percentile bound of `weights`.
+fn percentile_rank(weights: &[f32], percentile: f64) -> Result<usize, CrossbarError> {
+    if weights.is_empty() {
+        return Err(CrossbarError::InvalidMapping {
+            reason: "cannot derive weight range from empty slice".into(),
+        });
+    }
+    if !(0.0..0.5).contains(&percentile) {
+        return Err(CrossbarError::InvalidMapping {
+            reason: format!("percentile {percentile} not in [0, 0.5)"),
+        });
+    }
+    let len = weights.len();
+    Ok((((len as f64) * percentile).floor() as usize).min(len - 1))
 }
 
 impl WeightMapping {

@@ -348,19 +348,8 @@ impl CrossbarNetwork {
                     let (data, batch) = calibration.ok_or(CrossbarError::InvalidMapping {
                         reason: "aging-aware mapping needs calibration data".into(),
                     })?;
-                    let estimates = trace_estimates(&arrays[idx]);
-                    // Candidate upper bounds come only from *usable* traced
-                    // devices: a worn-out block center (collapsed window)
-                    // would drag the common range down to a useless sliver.
-                    let usable_floor = 2.0 * spec.level_width();
-                    let viable: Vec<TracedEstimate> = estimates
-                        .iter()
-                        .copied()
-                        .filter(|e| e.window.r_max - spec.r_min >= usable_floor)
-                        .collect();
-                    let candidates: &[TracedEstimate] =
-                        if viable.is_empty() { &estimates } else { &viable };
-                    let blocks = BlockMap::new(arrays[idx].rows(), arrays[idx].cols(), &estimates);
+                    let (candidates, blocks) = sweep_estimates(&arrays[idx], &spec);
+                    let candidates = candidates.as_slice();
                     let params = SweepParams {
                         trained: &trained,
                         layer: idx,
@@ -374,21 +363,28 @@ impl CrossbarNetwork {
                         percentile,
                         quantized,
                     };
+                    // Hysteresis: a re-selected window moves *every*
+                    // conductance target, so re-mapping against a new
+                    // window costs a pulse burst across the whole array.
+                    // The previous window is kept unless the new one is
+                    // meaningfully more accurate, so its accuracy is
+                    // scored alongside the candidates.
+                    let prev = last_windows[idx].filter(|prev| prev.r_max > spec.r_min);
                     let selection = if incremental {
-                        engine.sweep(software, candidates, spec.r_min, &params, recorder)
+                        engine.sweep(software, candidates, spec.r_min, &params, prev, recorder)
                     } else {
                         // Naive reference path: every candidate re-simulates
                         // the full matrix and forward pass on a per-sweep
                         // cloned network.
+                        let clone_state = || {
+                            let scratch: Vec<Tensor> = trained.iter().map(|&t| t.clone()).collect();
+                            (software.clone(), scratch)
+                        };
                         select_range_par(
                             candidates,
                             spec.r_min,
-                            |worker| {
-                                let scratch: Vec<Tensor> =
-                                    trained.iter().map(|&t| t.clone()).collect();
-                                (worker, software.clone(), scratch)
-                            },
-                            |(worker, net, scratch), cand| {
+                            |worker| (worker, clone_state()),
+                            |(worker, (net, scratch)), cand| {
                                 let _span = recorder.worker_span(names::MAP_CANDIDATE, *worker);
                                 simulate_layer_window_accuracy(
                                     net, scratch, &trained, idx, cand, &blocks, &spec, data, batch,
@@ -396,46 +392,30 @@ impl CrossbarNetwork {
                                 )
                             },
                         )
+                        .map(|sel| {
+                            let prev_acc = prev.map(|prev| {
+                                let (mut net, mut scratch) = clone_state();
+                                simulate_layer_window_accuracy(
+                                    &mut net,
+                                    &mut scratch,
+                                    &trained,
+                                    idx,
+                                    prev,
+                                    &blocks,
+                                    &spec,
+                                    data,
+                                    batch,
+                                    percentile,
+                                )
+                            });
+                            (sel, prev_acc)
+                        })
                     };
                     match selection {
-                        Ok(sel) => {
+                        Ok((sel, prev_acc)) => {
                             candidates_tried += sel.candidates_tried;
-                            // Hysteresis: a re-selected window moves *every*
-                            // conductance target, so re-mapping against a
-                            // new window costs a pulse burst across the
-                            // whole array. Keep the previous window unless
-                            // the new one is meaningfully more accurate.
-                            match last_windows[idx] {
-                                Some(prev) if prev.r_max > spec.r_min => {
-                                    let prev_acc = if incremental {
-                                        engine.evaluate_window(software, prev, &params, recorder)?
-                                    } else {
-                                        let (mut net, mut scratch) = (
-                                            software.clone(),
-                                            trained
-                                                .iter()
-                                                .map(|&t| t.clone())
-                                                .collect::<Vec<Tensor>>(),
-                                        );
-                                        simulate_layer_window_accuracy(
-                                            &mut net,
-                                            &mut scratch,
-                                            &trained,
-                                            idx,
-                                            prev,
-                                            &blocks,
-                                            &spec,
-                                            data,
-                                            batch,
-                                            percentile,
-                                        )?
-                                    };
-                                    if prev_acc + 0.01 >= sel.accuracy {
-                                        prev
-                                    } else {
-                                        sel.window
-                                    }
-                                }
+                            match (prev, prev_acc.transpose()?) {
+                                (Some(prev), Some(acc)) if acc + 0.01 >= sel.accuracy => prev,
                                 _ => sel.window,
                             }
                         }
@@ -464,11 +444,13 @@ impl CrossbarNetwork {
                 )?;
             }
             let physical = row_assignments[idx].to_physical(&targets)?;
+            let program_span = recorder.span(names::REMAP_PROGRAM);
             stats.merge(if delta_remap {
                 arrays[idx].program_conductances_delta(&physical, remap_tolerance)?
             } else {
                 arrays[idx].program_conductances(&physical)?
             });
+            drop(program_span);
             mappings[idx] = Some(mapping);
             last_windows[idx] = Some(window);
             windows.push(window);
@@ -676,11 +658,16 @@ impl CrossbarNetwork {
     /// leaves `stress_per_read` seconds of effective stress on every device
     /// it reads. Applied as one multiply-add per device so the wear state
     /// depends only on the total read count (see
-    /// [`Crossbar::apply_read_disturb`]).
-    pub fn apply_read_disturb(&mut self, reads: u64, stress_per_read: f64) {
-        for array in &mut self.arrays {
-            array.apply_read_disturb(reads, stress_per_read);
-        }
+    /// [`Crossbar::apply_read_disturb`]). Returns the per-layer wear
+    /// summaries after the accrual, as [`CrossbarNetwork::wear_snapshots`]
+    /// would, without deriving any aged window twice.
+    pub fn apply_read_disturb(&mut self, reads: u64, stress_per_read: f64) -> Vec<crate::TileWear> {
+        self.apply_read_disturb_traced(
+            reads,
+            stress_per_read,
+            &memaging_obs::Recorder::disabled(),
+            0,
+        )
     }
 
     /// [`CrossbarNetwork::apply_read_disturb`] with request tracing: each
@@ -695,12 +682,14 @@ impl CrossbarNetwork {
         stress_per_read: f64,
         recorder: &memaging_obs::Recorder,
         trace: u64,
-    ) {
-        for array in &mut self.arrays {
-            let span = recorder.trace_span("tile.read_disturb", trace);
-            array.apply_read_disturb(reads, stress_per_read);
-            drop(span);
-        }
+    ) -> Vec<crate::TileWear> {
+        self.arrays
+            .iter_mut()
+            .map(|array| {
+                let _span = recorder.trace_span("tile.read_disturb", trace);
+                array.apply_read_disturb(reads, stress_per_read)
+            })
+            .collect()
     }
 
     /// Per-tile total accumulated effective stress, in mapping (tile)
@@ -719,6 +708,20 @@ impl CrossbarNetwork {
     pub fn last_windows(&self) -> &[Option<AgedWindow>] {
         &self.last_windows
     }
+}
+
+/// The traced estimates of `array` a sweep draws its candidate bounds
+/// from, and the block map of every device's estimated window.
+fn sweep_estimates(array: &Crossbar, spec: &DeviceSpec) -> (Vec<TracedEstimate>, BlockMap) {
+    let estimates = trace_estimates(array);
+    let blocks = BlockMap::new(array.rows(), array.cols(), &estimates);
+    // Candidate upper bounds come only from *usable* traced devices: a
+    // worn-out block center (collapsed window) would drag the common range
+    // down to a useless sliver.
+    let usable_floor = 2.0 * spec.level_width();
+    let viable: Vec<TracedEstimate> =
+        estimates.iter().copied().filter(|e| e.window.r_max - spec.r_min >= usable_floor).collect();
+    (if viable.is_empty() { estimates } else { viable }, blocks)
 }
 
 /// The effective weight at logical `(row, col)`: the inverse of eq. 4 on the
@@ -992,5 +995,114 @@ mod tests {
         let acc = cn.evaluate(&data, 64).unwrap();
         assert!(acc > 0.5);
         assert_eq!(cn.per_layer_mean_r_max().len(), 2);
+    }
+
+    /// Per layer, the incremental engine's selection on `cn`'s present wear
+    /// for the trained `weights` — window, accuracy, candidate count — and
+    /// the exact accuracy of the hysteresis anchor, all as bits: the sweep
+    /// exactly as `map_weights` runs it.
+    fn engine_selections(
+        engine: &mut EvalEngine,
+        cn: &CrossbarNetwork,
+        weights: &[Tensor],
+        data: &Dataset,
+    ) -> Vec<(u64, u64, usize, Option<u64>)> {
+        engine.begin_epoch();
+        let trained: Vec<&Tensor> = weights.iter().collect();
+        (0..cn.arrays.len())
+            .map(|idx| {
+                let (candidates, blocks) = sweep_estimates(&cn.arrays[idx], &cn.spec);
+                let params = SweepParams {
+                    trained: &trained,
+                    layer: idx,
+                    net_layer: cn.software.mappable_layer_index(idx).unwrap(),
+                    blocks: &blocks,
+                    spec: &cn.spec,
+                    data,
+                    batch: 16,
+                    percentile: cn.outlier_percentile,
+                    quantized: cn.quantized_eval,
+                };
+                let prev = cn.last_windows[idx].filter(|w| w.r_max > cn.spec.r_min);
+                let recorder = memaging_obs::Recorder::disabled();
+                let (sel, prev_acc) = engine
+                    .sweep(&cn.software, &candidates, cn.spec.r_min, &params, prev, &recorder)
+                    .unwrap();
+                let prev_acc = prev_acc.map(|acc| acc.unwrap().to_bits());
+                (sel.window.r_max.to_bits(), sel.accuracy.to_bits(), sel.candidates_tried, prev_acc)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_engine_caches_are_exact() {
+        let (net, data) = trained_setup(11);
+        let (other, _) = trained_setup(12);
+        let mut other_calib = Dataset::gaussian_blobs(&SyntheticSpec::small(3, 13)).unwrap();
+        other_calib.normalize();
+        let (a, b) = (net.weight_matrices(), other.weight_matrices());
+        // A map sequence whose inputs change one at a time: the swept
+        // layer's weights, a lower layer's weights (stale prefix), the
+        // calibration set, and everything at once.
+        let steps: [(Vec<Tensor>, &Dataset); 6] = [
+            (a.clone(), &data),
+            (a.clone(), &data),
+            (vec![a[0].clone(), b[1].clone()], &data),
+            (b.clone(), &data),
+            (b.clone(), &other_calib),
+            (a.clone(), &data),
+        ];
+        let aging = ArrheniusAging { a_f: 1.0e17, a_g: 1.0e16, ..ArrheniusAging::default() };
+        for quantized in [false, true] {
+            let mut warm = CrossbarNetwork::new(net.clone(), DeviceSpec::default(), aging).unwrap();
+            let mut naive =
+                CrossbarNetwork::new(net.clone(), DeviceSpec::default(), aging).unwrap();
+            warm.set_quantized_eval(quantized);
+            naive.set_incremental_eval(false);
+            let mut last: Option<(&[Tensor], &Dataset)> = None;
+            for (step, (weights, calib)) in steps.iter().enumerate() {
+                for cn in [&mut warm, &mut naive] {
+                    // Position-dependent wear, the same on both networks.
+                    for (l, array) in cn.arrays.iter_mut().enumerate() {
+                        let (rows, cols) = (array.rows(), array.cols());
+                        for i in 0..rows * cols {
+                            let device = array.device_mut(i / cols, i % cols);
+                            for _ in 0..(step + i * 7 + l * 3) % 9 {
+                                if device.pulse(-1).is_err() || device.pulse(1).is_err() {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    cn.restore_software_weights(weights).unwrap();
+                }
+                let before = warm.engine.stamps();
+                let mut engine = std::mem::replace(&mut warm.engine, EvalEngine::new());
+                let hot = engine_selections(&mut engine, &warm, weights, calib);
+                warm.engine = engine;
+                let cold = engine_selections(&mut EvalEngine::new(), &warm, weights, calib);
+                assert_eq!(hot, cold, "quantized={quantized} step {step}: warm engine diverged");
+                // Every changed input is a miss: its stamp moves, and only
+                // its stamp.
+                if let Some((prev_weights, prev_calib)) = last {
+                    let after = warm.engine.stamps();
+                    for (l, (w, pw)) in weights.iter().zip(prev_weights).enumerate() {
+                        let changed = w.as_slice() != pw.as_slice();
+                        assert_eq!(after[l] != before[l], changed, "step {step} layer {l}");
+                    }
+                    let changed = !std::ptr::eq(*calib, prev_calib);
+                    assert_eq!(after[2] != before[2], changed, "step {step} calibration");
+                }
+                last = Some((weights, calib));
+                let warm_report =
+                    warm.map_weights(MappingStrategy::AgingAware, Some((calib, 16))).unwrap();
+                if !quantized {
+                    let naive_report =
+                        naive.map_weights(MappingStrategy::AgingAware, Some((calib, 16))).unwrap();
+                    assert_eq!(warm_report, naive_report, "step {step}: diverged from naive");
+                    assert_eq!(warm.last_windows, naive.last_windows, "step {step}");
+                }
+            }
+        }
     }
 }

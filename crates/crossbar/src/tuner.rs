@@ -198,6 +198,7 @@ fn apply_sign_pulses(
         }
         let threshold = gate_fraction * max_mag;
         let cols = grad.dims()[1];
+        let arrhenius = array.device(0, 0).arrhenius_factor();
         for (i, &g) in grad.as_slice().iter().enumerate() {
             if g.abs() <= threshold {
                 continue;
@@ -205,7 +206,8 @@ fn apply_sign_pulses(
             let (row, col) = (i / cols, i % cols);
             let direction: i8 = if g > 0.0 { 1 } else { -1 };
             // Worn-out devices reject pulses; tuning simply skips them.
-            if array.device_mut(assignment.physical(row), col).nudge(direction).is_ok() {
+            let device = array.device_mut(assignment.physical(row), col);
+            if device.nudge_with_factor(direction, arrhenius).is_ok() {
                 pulsed.push((row, col));
             }
         }

@@ -182,15 +182,24 @@ impl ArrheniusAging {
     }
 }
 
-impl AgingModel for ArrheniusAging {
-    fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
+impl ArrheniusAging {
+    /// [`AgingModel::aged_window`] with the Arrhenius factor passed in:
+    /// `arrhenius` must be [`ArrheniusAging::arrhenius_factor`] at
+    /// `spec.temperature`, and the window is then bit-identical. Every
+    /// device of an array shares the factor, so array-wide loops compute
+    /// its `exp` once instead of per device.
+    pub fn aged_window_with_factor(
+        &self,
+        spec: &DeviceSpec,
+        stress: f64,
+        arrhenius: f64,
+    ) -> AgedWindow {
         // `f` and `g` share their Arrhenius factor and stress power; both are
         // evaluated once, in the same product order as `f`/`g`, so the result
         // is bit-identical to calling them separately.
         let (f, g) = if stress <= 0.0 {
             (0.0, 0.0)
         } else {
-            let arrhenius = self.arrhenius_factor(spec.temperature);
             let time = stress.powf(self.exponent_m);
             (self.a_f * arrhenius * time, self.a_g * arrhenius * time)
         };
@@ -202,6 +211,12 @@ impl AgingModel for ArrheniusAging {
         let r_min = (spec.r_min - g).max(spec.r_min * 0.1);
         let r_max = (spec.r_max - f).max(r_min);
         AgedWindow { r_min, r_max }
+    }
+}
+
+impl AgingModel for ArrheniusAging {
+    fn aged_window(&self, spec: &DeviceSpec, stress: f64) -> AgedWindow {
+        self.aged_window_with_factor(spec, stress, self.arrhenius_factor(spec.temperature))
     }
 
     fn stress_increment(&self, spec: &DeviceSpec, at: Ohms) -> f64 {

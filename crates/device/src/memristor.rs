@@ -104,12 +104,19 @@ impl Memristor {
     /// Recomputes the cached window and worn-out flag from the present
     /// stress. Must run after every stress change.
     fn refresh(&mut self) {
-        let w = self.aged_window();
+        self.refresh_with_factor(self.arrhenius_factor());
+    }
+
+    /// [`Memristor::refresh`] with the Arrhenius factor passed in; returns
+    /// the aged window it derived the cache from.
+    fn refresh_with_factor(&mut self, arrhenius: f64) -> AgedWindow {
+        let w = self.aged_window_with_factor(arrhenius);
         let width = self.spec.level_width();
         let lo = ((w.r_min - self.spec.r_min) / width).max(0.0);
         let hi = ((w.r_max - self.spec.r_min) / width).min((self.spec.levels - 1) as f64);
         self.bounds = (lo, hi.max(lo));
         self.worn_out = self.quantizer().levels_within(w.r_min, w.r_max) < 2;
+        w
     }
 
     /// The device spec.
@@ -153,9 +160,22 @@ impl Memristor {
     ///
     /// Panics if `delta` is negative or non-finite.
     pub fn absorb_ambient_stress(&mut self, delta: f64) {
+        self.absorb_ambient_stress_with_factor(delta, self.arrhenius_factor());
+    }
+
+    /// [`Memristor::absorb_ambient_stress`] with the Arrhenius factor
+    /// passed in (see [`Memristor::arrhenius_factor`]). Returns the aged
+    /// window after the stress — what [`Memristor::aged_window`] would now
+    /// return — so an array-wide pass can summarize wear without deriving
+    /// each window a second time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` is negative or non-finite.
+    pub fn absorb_ambient_stress_with_factor(&mut self, delta: f64, arrhenius: f64) -> AgedWindow {
         assert!(delta.is_finite() && delta >= 0.0, "ambient stress delta must be >= 0");
         self.ambient_stress += delta;
-        self.refresh();
+        self.refresh_with_factor(arrhenius)
     }
 
     /// Total programming pulses ever applied.
@@ -171,6 +191,22 @@ impl Memristor {
     /// The current aged resistance window.
     pub fn aged_window(&self) -> AgedWindow {
         self.aging.aged_window(&self.spec, self.stress())
+    }
+
+    /// The Arrhenius factor `exp(−E_a / k_B T)` of this device's aging law
+    /// at its operating temperature. Devices of one spec and aging model
+    /// share it, so an array-wide loop computes it once and passes it to
+    /// the `*_with_factor` methods, which are then bit-identical to their
+    /// plain counterparts; passing any other value desynchronizes the
+    /// device from its aging law.
+    pub fn arrhenius_factor(&self) -> f64 {
+        self.aging.arrhenius_factor(self.spec.temperature)
+    }
+
+    /// [`Memristor::aged_window`] with the Arrhenius factor passed in.
+    pub fn aged_window_with_factor(&self, arrhenius: f64) -> AgedWindow {
+        debug_assert_eq!(arrhenius.to_bits(), self.arrhenius_factor().to_bits());
+        self.aging.aged_window_with_factor(&self.spec, self.stress(), arrhenius)
     }
 
     /// The stored position clamped into the present aged window.
@@ -211,14 +247,19 @@ impl Memristor {
     /// Applies one pulse moving the position by `step_levels` grid units in
     /// `direction`, saturating against the aged window. Every pulse (even an
     /// absorbed one) stresses the device.
-    fn apply_pulse(&mut self, direction: i8, step_levels: f64) -> Result<(), DeviceError> {
+    fn apply_pulse(
+        &mut self,
+        direction: i8,
+        step_levels: f64,
+        arrhenius: f64,
+    ) -> Result<(), DeviceError> {
         if self.worn_out {
             return Err(DeviceError::ProgramOnDeadDevice);
         }
         // Stress accrues at the device's *current* operating point; the
         // movement saturates against the window that stress leaves behind.
         self.own_stress += self.aging.stress_increment(&self.spec, self.resistance());
-        self.refresh();
+        self.refresh_with_factor(arrhenius);
         self.pulse_count += 1;
         let (lo, hi) = self.bounds;
         let current = self.position.clamp(lo, hi);
@@ -241,7 +282,7 @@ impl Memristor {
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
     pub fn pulse(&mut self, direction: i8) -> Result<(), DeviceError> {
-        self.apply_pulse(direction, 1.0)
+        self.apply_pulse(direction, 1.0, self.arrhenius_factor())
     }
 
     /// Applies one sub-level tuning pulse (the constant-amplitude pulse of
@@ -252,7 +293,18 @@ impl Memristor {
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out.
     pub fn nudge(&mut self, direction: i8) -> Result<(), DeviceError> {
-        self.apply_pulse(direction, self.spec.tuning_step_levels)
+        self.nudge_with_factor(direction, self.arrhenius_factor())
+    }
+
+    /// [`Memristor::nudge`] with the Arrhenius factor passed in (see
+    /// [`Memristor::arrhenius_factor`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
+    /// out.
+    pub fn nudge_with_factor(&mut self, direction: i8, arrhenius: f64) -> Result<(), DeviceError> {
+        self.apply_pulse(direction, self.spec.tuning_step_levels, arrhenius)
     }
 
     /// Forces the device into the worn-out state (window collapsed), for
@@ -311,6 +363,15 @@ impl Memristor {
     /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
     /// out before any pulse is applied.
     pub fn program_to_level(&mut self, target_level: usize) -> Result<ProgramOutcome, DeviceError> {
+        self.program_level_with_factor(target_level, self.arrhenius_factor())
+    }
+
+    /// [`Memristor::program_to_level`] with the Arrhenius factor passed in.
+    fn program_level_with_factor(
+        &mut self,
+        target_level: usize,
+        arrhenius: f64,
+    ) -> Result<ProgramOutcome, DeviceError> {
         if self.is_worn_out() {
             return Err(DeviceError::ProgramOnDeadDevice);
         }
@@ -324,7 +385,7 @@ impl Memristor {
                 break;
             }
             let dir: i8 = if distance > 0.0 { 1 } else { -1 };
-            self.apply_pulse(dir, distance.abs().min(1.0))?;
+            self.apply_pulse(dir, distance.abs().min(1.0), arrhenius)?;
             pulses += 1;
             // Saturated against the aged window: the pulse made no progress
             // toward the target (the window may even recede under the
@@ -359,6 +420,22 @@ impl Memristor {
     /// out.
     pub fn program_conductance(&mut self, target: Siemens) -> Result<ProgramOutcome, DeviceError> {
         self.program(target.to_ohms())
+    }
+
+    /// [`Memristor::program_conductance`] with the Arrhenius factor passed
+    /// in (see [`Memristor::arrhenius_factor`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::ProgramOnDeadDevice`] if the device is worn
+    /// out.
+    pub fn program_conductance_with_factor(
+        &mut self,
+        target: Siemens,
+        arrhenius: f64,
+    ) -> Result<ProgramOutcome, DeviceError> {
+        let level = self.quantizer().nearest_level(target.to_ohms());
+        self.program_level_with_factor(level, arrhenius)
     }
 }
 

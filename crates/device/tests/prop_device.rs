@@ -241,6 +241,58 @@ proptest! {
     }
 
     #[test]
+    fn hoisted_arrhenius_factor_is_bit_exact(
+        spec in arb_spec(),
+        acceleration in 0.0f64..4.0,
+        stress in 0.0f64..10.0,
+        ops in proptest::collection::vec(arb_op(), 1..80),
+    ) {
+        let scale = 10f64.powf(acceleration);
+        let base = ArrheniusAging::default();
+        let aging = ArrheniusAging { a_f: base.a_f * scale, a_g: base.a_g * scale, ..base };
+        let factor = aging.arrhenius_factor(spec.temperature);
+        let (w, hoisted) =
+            (aging.aged_window(&spec, stress), aging.aged_window_with_factor(&spec, stress, factor));
+        prop_assert_eq!(w.r_min.to_bits(), hoisted.r_min.to_bits());
+        prop_assert_eq!(w.r_max.to_bits(), hoisted.r_max.to_bits());
+        // A device driven through the factor-taking methods tracks one
+        // driven through the plain ones bit for bit.
+        let mut plain = Memristor::new(spec, aging).unwrap();
+        let mut fast = plain.clone();
+        prop_assert_eq!(fast.arrhenius_factor().to_bits(), factor.to_bits());
+        for op in ops {
+            match op {
+                Op::Nudge(dir) => {
+                    let _ = fast.nudge_with_factor(dir, factor);
+                }
+                Op::Program(level) => {
+                    let g = Quantizer::from_spec(&spec).unwrap().level_resistance(level % spec.levels);
+                    let _ = fast.program_conductance_with_factor(g.to_siemens(), factor);
+                }
+                Op::Ambient(pulses) => {
+                    fast.absorb_ambient_stress_with_factor(pulses * spec.pulse_width, factor);
+                }
+                op => apply(&mut fast, op),
+            }
+            match op {
+                Op::Program(level) => {
+                    let g = Quantizer::from_spec(&spec).unwrap().level_resistance(level % spec.levels);
+                    let _ = plain.program_conductance(g.to_siemens());
+                }
+                op => apply(&mut plain, op),
+            }
+            let (a, b) = (plain.aged_window(), fast.aged_window_with_factor(factor));
+            prop_assert_eq!(a.r_min.to_bits(), b.r_min.to_bits());
+            prop_assert_eq!(a.r_max.to_bits(), b.r_max.to_bits());
+            prop_assert_eq!(plain.stress().to_bits(), fast.stress().to_bits());
+            prop_assert_eq!(plain.grid_position().to_bits(), fast.grid_position().to_bits());
+            prop_assert_eq!(plain.resistance().value().to_bits(), fast.resistance().value().to_bits());
+            prop_assert_eq!(plain.is_worn_out(), fast.is_worn_out());
+            prop_assert_eq!(plain.pulse_count(), fast.pulse_count());
+        }
+    }
+
+    #[test]
     fn levels_within_matches_a_level_scan(
         spec in arb_spec(),
         a in -0.2f64..1.2,

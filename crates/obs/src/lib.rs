@@ -91,6 +91,9 @@ pub mod names {
     /// Replaying one candidate from the cached prefix activation through
     /// the remaining layers (per-worker span, nested in [`MAP_CANDIDATE`]).
     pub const MAP_REPLAY: &str = "map.replay";
+    /// Programming one layer's array toward its mapped targets, nested in
+    /// the `map` span (and so in `serve.remap` on a live remap).
+    pub const REMAP_PROGRAM: &str = "remap.program";
 }
 
 pub use chrome::ChromeTraceSink;

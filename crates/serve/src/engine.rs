@@ -13,8 +13,9 @@
 //! 3. run the wear-health forecaster on the fresh snapshots;
 //! 4. if the shared [`WearThresholds`] warn rule fires *and* the active
 //!    mapping has drifted from the observed aged windows, re-run the
-//!    paper's aging-aware range selection (the PR-4 incremental engine)
-//!    and reprogram — while the dispatcher keeps serving generation `b`.
+//!    paper's aging-aware range selection (the incremental engine)
+//!    on the deploy-time trained weights and reprogram — while the
+//!    dispatcher keeps serving generation `b`.
 //!
 //! The remap deliberately runs *after* the publish: a slow range-selection
 //! sweep overlaps live traffic instead of stalling it, and its effect
@@ -26,10 +27,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use memaging_crossbar::{CrossbarNetwork, MappingStrategy};
+use memaging_crossbar::{CrossbarNetwork, MappingStrategy, TileWear};
 use memaging_dataset::Dataset;
 use memaging_lifetime::{trend, worst_tile, HealthConfig, HealthMonitor, WearCause, WearLedger};
 use memaging_obs::{AlertSeverity, Recorder};
+use memaging_tensor::Tensor;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -51,6 +53,10 @@ fn to_fixed(value: f64) -> u64 {
 /// forecasting, and the live-remap policy.
 pub struct ServeEngine {
     network: CrossbarNetwork,
+    /// The deploy-time trained weight matrices. Every remap maps these,
+    /// never the previous generation's quantized read-back, so the
+    /// quantization error of one mapping cannot compound into the next.
+    trained: Vec<Tensor>,
     calib: Dataset,
     config: ServeConfig,
     health: HealthMonitor,
@@ -132,6 +138,7 @@ impl ServeEngine {
         // remap wear by the cells actually programmed).
         network.set_delta_remap(config.delta_remap);
         network.set_remap_tolerance(config.remap_tolerance);
+        let trained = network.software().weight_matrices();
         network
             .map_weights_with_recorder(
                 MappingStrategy::AgingAware,
@@ -156,8 +163,9 @@ impl ServeEngine {
         let cause = WearCause::Remap { generation: 0 };
         ledger.charge(cause, &stress);
         recorder.wear_checkpoint(&format!("{prefix}{}", cause.kind()), cause.param(), &stress);
-        let mut engine = ServeEngine {
+        let engine = ServeEngine {
             network,
+            trained,
             calib,
             config,
             health,
@@ -172,7 +180,7 @@ impl ServeEngine {
             replica,
             prefix,
         };
-        let generation = engine.read_generation(0)?;
+        let generation = engine.read_generation(0, &engine.network.wear_snapshots())?;
         Ok((engine, generation))
     }
 
@@ -202,7 +210,10 @@ impl ServeEngine {
         interval_requests: u64,
     ) -> Result<Arc<MappingGeneration>, ServeError> {
         let span = self.recorder.trace_span("serve.boundary", id);
-        self.network.apply_read_disturb_traced(
+        // The accrual returns the wear snapshot, summed from the aged
+        // windows it derived: the health check, the generation and the
+        // series all read this one snapshot.
+        let wear = self.network.apply_read_disturb_traced(
             interval_requests,
             self.config.stress_per_read,
             &self.recorder,
@@ -210,16 +221,23 @@ impl ServeEngine {
         );
         self.charge(WearCause::InferenceRead { batch_seq: id });
         self.last_boundary = id;
-        let wear = self.network.wear_snapshots();
-        let report = self.health.observe(id, &wear, 0);
-        report.emit(&self.recorder);
-        let generation = self.read_generation(id)?;
+        {
+            let _span = self.recorder.trace_span("serve.boundary.health", id);
+            let report = self.health.observe(id, &wear, 0);
+            report.emit(&self.recorder);
+        }
+        let read_back = self.recorder.trace_span("serve.boundary.read_back", id);
+        let generation = self.read_generation(id, &wear)?;
+        drop(read_back);
         self.recorder.gauge(
             &format!("serve.{}window_fraction_worst", self.prefix),
             generation.worst_window_fraction,
         );
-        self.record_series(id, &wear);
-        self.update_forecast(wear.len());
+        {
+            let _span = self.recorder.trace_span("serve.boundary.forecast", id);
+            self.record_series(id, &wear);
+            self.update_forecast(wear.len());
+        }
 
         // The remap trigger: exactly the forecaster's warn rule (shared
         // thresholds — satellite of this PR), gated by mapping staleness
@@ -281,11 +299,15 @@ impl ServeEngine {
         }
         self.remap_armed = false;
         let span = self.recorder.span("serve.remap");
-        let outcome = self.network.map_weights_with_recorder(
-            MappingStrategy::AgingAware,
-            Some((&self.calib, self.config.calib_batch)),
-            &self.recorder,
-        );
+        // Mapping leaves the software model holding the hardware read-back:
+        // put the trained model back first, as the lifetime simulator does.
+        let outcome = self.network.restore_software_weights(&self.trained).and_then(|()| {
+            self.network.map_weights_with_recorder(
+                MappingStrategy::AgingAware,
+                Some((&self.calib, self.config.calib_batch)),
+                &self.recorder,
+            )
+        });
         drop(span);
         match outcome {
             Ok(_) => {
@@ -321,15 +343,16 @@ impl ServeEngine {
         self.maybe_remap()
     }
 
-    /// Reads back the effective hardware weights as generation `id`.
-    fn read_generation(&mut self, id: u64) -> Result<Arc<MappingGeneration>, ServeError> {
+    /// Reads back the effective hardware weights as generation `id`, with
+    /// `wear` the present wear snapshot of every tile.
+    fn read_generation(
+        &self,
+        id: u64,
+        wear: &[TileWear],
+    ) -> Result<Arc<MappingGeneration>, ServeError> {
         let weights = self.network.read_weights().map_err(internal)?;
-        let worst_window_fraction = self
-            .network
-            .wear_snapshots()
-            .iter()
-            .map(|tile| tile.mean_window_fraction)
-            .fold(1.0_f64, f64::min);
+        let worst_window_fraction =
+            wear.iter().map(|tile| tile.mean_window_fraction).fold(1.0_f64, f64::min);
         // Tile-order sum: the deterministic stress snapshot the fleet
         // router differentiates for per-replica burn rates.
         let total_stress = self.network.tile_stress().iter().sum();
@@ -381,7 +404,7 @@ impl ServeEngine {
     /// nanoseconds, keyed by boundary id so the series is bit-identical at
     /// any worker/client count. Alloc-free unless a series store is
     /// attached.
-    fn record_series(&self, id: u64, wear: &[memaging_crossbar::TileWear]) {
+    fn record_series(&self, id: u64, wear: &[TileWear]) {
         if !self.recorder.has_series() {
             return;
         }
@@ -484,4 +507,62 @@ impl ServeEngine {
 
 fn internal(e: impl std::fmt::Display) -> ServeError {
     ServeError::Internal { reason: e.to_string() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memaging_dataset::SyntheticSpec;
+    use memaging_device::{ArrheniusAging, DeviceSpec};
+    use memaging_nn::{models, train, NoRegularizer, TrainConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Per mappable layer, the bits of the mapped weight range.
+    fn weight_ranges(network: &CrossbarNetwork) -> Vec<(u64, u64)> {
+        (0..network.arrays().len())
+            .map(|i| {
+                let m = network.mapping(i).expect("every layer is mapped");
+                (m.w_min().to_bits(), m.w_max().to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_remap_maps_the_trained_model() {
+        let mut calib = Dataset::gaussian_blobs(&SyntheticSpec::small(3, 7)).unwrap();
+        calib.normalize();
+        let mut net = models::mlp(&[144, 8, 3], &mut StdRng::seed_from_u64(7)).unwrap();
+        let train_config =
+            TrainConfig { epochs: 6, target_accuracy: 0.95, ..TrainConfig::default() };
+        train(&mut net, &calib, &train_config, &NoRegularizer).unwrap();
+        let (spec, aging) = (DeviceSpec::default(), ArrheniusAging::default());
+        let hardware = CrossbarNetwork::new(net, spec, aging).unwrap();
+        // Reads that wear the upper bound by 80% of the fresh window over
+        // the run: the warn threshold is crossed early, and the window
+        // keeps drifting past each remap's selection.
+        let (boundaries, interval) = (64u64, 16u64);
+        let degradation = 0.8 * (spec.r_max - spec.r_min);
+        let config = ServeConfig {
+            stress_per_read: aging.stress_for_degradation(spec.temperature, degradation)
+                / (boundaries * interval) as f64,
+            remap_drift_fraction: 0.01,
+            ..ServeConfig::default()
+        };
+        let stats = Arc::new(ServeStats::default());
+        let (mut engine, _) =
+            ServeEngine::deploy(hardware, calib, config, Recorder::disabled(), stats).unwrap();
+        let deployed = weight_ranges(&engine.network);
+        let mut remaps = 0;
+        for id in 1..=boundaries {
+            engine.boundary(id, interval).unwrap();
+            if engine.maybe_remap() {
+                remaps += 1;
+                assert_eq!(weight_ranges(&engine.network), deployed, "live remap {remaps}");
+            }
+        }
+        assert!(remaps >= 3, "the wear schedule must drive at least 3 live remaps, got {remaps}");
+        assert!(engine.force_remap(), "a forced remap runs");
+        assert_eq!(weight_ranges(&engine.network), deployed, "forced remap");
+    }
 }
