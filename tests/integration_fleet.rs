@@ -307,3 +307,58 @@ fn wear_balancing_beats_round_robin_on_a_heterogeneous_fleet() {
     );
     par::set_threads(0);
 }
+
+/// FNV-1a over a stream of `u64` words (little-endian bytes).
+fn fnv(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Pins a 4-replica heterogeneous wear-balance fleet with retiring on to
+/// recorded bits: every response's seq, generation and output bits, and
+/// per replica the final tile stress, boundary and remap counts, ledger
+/// per-cause totals, routed requests and retires. The replays above
+/// compare runs of one build; this digest is the check across builds.
+#[test]
+fn fleet_is_pinned_bit_for_bit() {
+    const PINNED: u64 = 0xb8d3_4fe1_7f63_216a;
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    let total = 256;
+    let config = FleetConfig {
+        router: RouterPolicy::WearBalance,
+        stress_scale: vec![1.0, 1.6, 0.7, 1.3],
+        retire_fraction: 0.75,
+        retire_blocks: 2,
+        retire_cooldown_blocks: 4,
+        ..FleetConfig::new(4, serve_config(total))
+    };
+    for threads in [1, 2] {
+        let (observed, report) = closed_loop(threads, config.clone(), total);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for o in &observed {
+            fnv(&mut hash, o.seq);
+            fnv(&mut hash, o.generation);
+            for bits in &o.output_bits {
+                fnv(&mut hash, u64::from(*bits));
+            }
+        }
+        for r in &report.replicas {
+            for stress in r.network.tile_stress() {
+                fnv(&mut hash, stress.to_bits());
+            }
+            fnv(&mut hash, r.boundaries);
+            fnv(&mut hash, r.remaps);
+            for (_, events, stress) in r.attribution.cause_totals() {
+                fnv(&mut hash, events);
+                fnv(&mut hash, stress.to_bits());
+            }
+            fnv(&mut hash, r.routed);
+            fnv(&mut hash, r.retires);
+        }
+        let retires: u64 = report.replicas.iter().map(|r| r.retires).sum();
+        assert!(retires >= 1, "the schedule must retire a replica (got {retires})");
+        assert_eq!(hash, PINNED, "fleet digest moved at {threads} threads: {hash:#018x}");
+    }
+    par::set_threads(0);
+}

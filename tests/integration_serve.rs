@@ -463,3 +463,58 @@ fn concurrent_clients_preserve_the_wear_state() {
     assert_eq!(digests[0], digests[1], "same request multiset, same final wear");
     par::set_threads(0);
 }
+
+/// FNV-1a over a stream of `u64` words (little-endian bytes).
+fn fnv(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Pins one replica's serving to recorded bits: every response's seq,
+/// generation and output bits, the final per-tile stress, the boundary and
+/// remap counts, and the ledger's per-cause totals. The thread-count
+/// replay above compares two runs of one build; this digest is the check
+/// across builds, so a refactor of the dispatch or maintenance loop that
+/// moves a single bit fails here.
+#[test]
+fn serve_is_pinned_bit_for_bit() {
+    const PINNED: u64 = 0x3ad4_c374_ff87_588e;
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    let (_, calib, spec, aging) = trained();
+    let total: usize = 96;
+    let config = ServeConfig {
+        maintenance_interval: 16,
+        stress_per_read: stress_per_read(spec, aging, 0.55, total as u64 / 2),
+        remap_drift_fraction: 0.01,
+        ..ServeConfig::default()
+    };
+    for threads in [1, 2] {
+        par::set_threads(threads);
+        let service = deploy(config);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for k in 0..total {
+            let response = service
+                .infer(InferRequest::new(sample(calib, k)))
+                .unwrap_or_else(|e| panic!("request {k} failed: {e}"));
+            fnv(&mut hash, response.seq);
+            fnv(&mut hash, response.generation);
+            for v in &response.output {
+                fnv(&mut hash, u64::from(v.to_bits()));
+            }
+        }
+        let report = service.shutdown();
+        for stress in report.network.tile_stress() {
+            fnv(&mut hash, stress.to_bits());
+        }
+        fnv(&mut hash, report.boundaries);
+        fnv(&mut hash, report.remaps);
+        for (_, events, stress) in report.attribution.cause_totals() {
+            fnv(&mut hash, events);
+            fnv(&mut hash, stress.to_bits());
+        }
+        assert!(report.remaps >= 1, "the schedule must drive a live remap");
+        assert_eq!(hash, PINNED, "serving digest moved at {threads} threads: {hash:#018x}");
+    }
+    par::set_threads(0);
+}
