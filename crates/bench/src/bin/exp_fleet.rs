@@ -10,10 +10,12 @@
 //!   replay must be **bit-identical** (per-request outputs, per-replica
 //!   final wear, routing counters, attribution ledgers): worker count is
 //!   a pure performance knob at every replica count;
-//! * the N=1 fleet vs the plain [`InferenceService`] on the identical
-//!   admission sequence — a one-replica fleet is the identity router in
-//!   front of the exact serve-tier pipeline, so outputs and final wear
-//!   must match **byte for byte**;
+//! * the N=1 fleet vs the [`InferenceService`] handle on the identical
+//!   admission sequence — the handle is a one-replica fleet behind its
+//!   own constructor and report, so outputs and final wear must match
+//!   **byte for byte** (both run the one dispatch and maintenance loop;
+//!   the check across commits is the pinned digests of
+//!   `integration_serve` and `integration_fleet`);
 //! * retire-under-load: a 2-replica fleet with the retire threshold set
 //!   to cross mid-run must drain, background-force-remap, and rejoin a
 //!   replica at least once — and replay that schedule bit-identically
@@ -28,9 +30,9 @@
 //!   floor taken from its first measurement.
 //!
 //! Every leg's full event stream also replays through the offline
-//! analyzer, which must fold the `replica{r}.`-prefixed wear stream into
-//! per-replica ledgers byte-identical to the live `/wear/attribution`
-//! document. Phase profiles (suffixed per leg), the imbalance pair, and
+//! analyzer, which must fold the wear stream (`replica{r}.`-prefixed on
+//! multi-replica legs) into ledgers byte-identical to the live
+//! `/wear/attribution` document. Phase profiles (suffixed per leg), the imbalance pair, and
 //! the throughput-scaling ratio (`fleet_scaling`) go to
 //! `BENCH_fleet.json`; each leg's flight-recorder dump lands in
 //! `results/flight_fleet_r{N}_<leg>.jsonl`.
@@ -256,29 +258,26 @@ fn run_leg(
     );
 
     // The offline-analyzer contract: replaying the complete event stream
-    // folds the `replica{r}.`-prefixed wear causes into per-replica
-    // ledgers byte-identical to the live `/wear/attribution` document.
+    // folds the wear causes (`replica{r}.`-prefixed when there are several
+    // replicas) into ledgers byte-identical to the live
+    // `/wear/attribution` document.
     let events = handle.events();
     let lines: Vec<String> = events.iter().map(|e| e.to_json()).collect();
     let analysis =
         analyze_lines(label, lines.iter().map(String::as_str), &AnalyzeOptions::default())
             .unwrap_or_else(|e| panic!("{label}: trace replay failed: {e}"));
-    let mut live_attribution = String::from("{\"replicas\":[");
-    for (r, replica) in report.replicas.iter().enumerate() {
-        if r > 0 {
-            live_attribution.push(',');
-        }
-        live_attribution.push_str(&replica.attribution.to_json());
-    }
-    live_attribution.push_str("]}");
     assert_eq!(
         analysis.attribution_json(),
-        live_attribution,
+        report.attribution_json(),
         "{label}: analyzer attribution document != live /wear/attribution body"
     );
-    let replayed_imbalance = analysis
-        .fleet_imbalance()
-        .unwrap_or_else(|| panic!("{label}: analyzer must see a fleet attribution stream"));
+    // A single replica's stream is not namespaced, so the analyzer sees
+    // one ledger and no fleet: its imbalance is 1 by definition.
+    let replayed_imbalance = match analysis.fleet_imbalance() {
+        Some(imbalance) => imbalance,
+        None if replicas == 1 => 1.0,
+        None => panic!("{label}: analyzer must see a fleet attribution stream"),
+    };
     let imbalance = report.wear_imbalance();
     assert!(
         (replayed_imbalance - imbalance).abs() <= 1e-9 * imbalance.max(1.0),
@@ -343,8 +342,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         references.push(reference);
     }
 
-    // Single-replica parity: the N=1 fleet must serve the plain inference
-    // service's exact bytes on the identical admission sequence.
+    // Single-replica parity: the InferenceService handle wraps a 1-replica
+    // fleet, so it must serve the fleet's exact bytes on the identical
+    // admission sequence.
     par::set_threads(threads);
     let serve_reference = {
         let hardware = CrossbarNetwork::new(seed_model.0.clone(), *spec, *aging).expect("hardware");
@@ -392,8 +392,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "a 1-replica fleet must process the inference service's exact maintenance schedule"
     );
     report(&format!(
-        "  parity: 1-replica fleet byte-identical to InferenceService \
-         ({total} requests, {} boundaries, {} remaps)",
+        "  parity: InferenceService handle byte-identical to the 1-replica fleet \
+         (one code path; {total} requests, {} boundaries, {} remaps)",
         serve_reference.1.boundaries, serve_reference.1.remaps,
     ));
 

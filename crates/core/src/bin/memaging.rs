@@ -18,13 +18,13 @@ use std::time::Duration;
 
 use memaging::crossbar::CrossbarNetwork;
 use memaging::device::{ArrheniusAging, DeviceSpec, Memristor};
-use memaging::fleet::{FleetConfig, FleetHandler, FleetService, RouterPolicy};
+use memaging::fleet::{FleetConfig, FleetService, RouterPolicy};
 use memaging::lifetime::{compare_lifetimes, LifetimeResult, Strategy};
 use memaging::obs::{
     ChromeTraceSink, FlightRecorder, JsonlSink, PrettySink, Recorder, SeriesStore, Sink,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_SERIES_CAPACITY,
 };
-use memaging::serve::{InferRequest, InferenceService, ServeConfig, ServeHandler};
+use memaging::serve::{InferRequest, ServeConfig, ServeHandler};
 use memaging::{AnalyzeOptions, Scenario};
 use memaging_monitor::{MonitorServer, MonitorSink, MonitorState, RunStatus};
 
@@ -683,92 +683,15 @@ fn run_infer(
         config.latency_buckets = buckets;
     }
 
-    if flags.replicas > 1 {
-        // Sharded deployment: N independent crossbar replicas behind the
-        // deterministic wear-balancing fleet router.
-        let networks = (0..flags.replicas)
-            .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fleet_config =
-            FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
-        let service = Arc::new(FleetService::deploy(
-            networks,
-            calib.clone(),
-            fleet_config,
-            recorder.clone(),
-        )?);
-        let handler = Arc::new(FleetHandler::new(
-            Arc::clone(&service),
-            flags.deadline_ms.map(Duration::from_millis),
-        ));
-        let server = MonitorServer::bind_with_handlers(
-            ("127.0.0.1", flags.port),
-            MonitorState::new(recorder.clone(), wear.clone()),
-            vec![handler],
-        )
-        .map_err(|e| format!("cannot bind monitor port {}: {e}", flags.port))?;
-        let addr = server.local_addr();
-        println!(
-            "serving {} replicas ({} router): POST http://{addr}/infer  GET /fleet  \
-             /serve/stats  /serve/latency  /wear/attribution  /metrics  /health  /wear",
-            flags.replicas,
-            flags.router.label(),
-        );
-        if flags.requests > 0 {
-            // Deterministic self-driven smoke load from the calibration set.
-            let mut served = 0u64;
-            let mut failed = 0u64;
-            for k in 0..flags.requests {
-                let i = (k as usize) % calib.len();
-                let input = calib.batch_matrix(i, i + 1).as_slice().to_vec();
-                match service.infer(InferRequest::new(input)) {
-                    Ok(_) => served += 1,
-                    Err(_) => failed += 1,
-                }
-            }
-            recorder.message(&format!(
-                "self-load complete: {served} served, {failed} failed; fleet: {}",
-                service.fleet_json()
-            ));
-        }
-        if flags.requests == 0 || flags.linger {
-            println!("fleet inference service live (ctrl-c to exit)");
-            loop {
-                std::thread::park();
-            }
-        }
-        server.shutdown();
-        wear.set_status(RunStatus::Survived);
-        if let Ok(service) = Arc::try_unwrap(service) {
-            let report = service.shutdown();
-            recorder.message(&format!(
-                "fleet report: {} admitted, {} served, {} rejected, {} replicas, \
-                 wear imbalance (max/mean) {:.4}",
-                report.admitted,
-                report.served(),
-                report.rejected_full,
-                report.replicas.len(),
-                report.wear_imbalance(),
-            ));
-            for r in &report.replicas {
-                recorder.message(&format!(
-                    "  replica {}: {} routed, {} served, {} boundaries, {} remaps, {} retires",
-                    r.replica, r.routed, r.served, r.boundaries, r.remaps, r.retires
-                ));
-            }
-        }
-        if opts.metrics {
-            if let Some(snapshot) = recorder.snapshot() {
-                print!("{snapshot}");
-            }
-        }
-        recorder.flush();
-        return Ok(());
-    }
-
-    let hardware = CrossbarNetwork::new(trained.network, framework.spec, framework.aging)?;
+    // One service for every replica count: N independent crossbar replicas
+    // behind the deterministic router (the identity for one replica).
+    let networks = (0..flags.replicas)
+        .map(|_| CrossbarNetwork::new(trained.network.clone(), framework.spec, framework.aging))
+        .collect::<Result<Vec<_>, _>>()?;
+    let fleet_config =
+        FleetConfig { router: flags.router, ..FleetConfig::new(flags.replicas, config) };
     let service =
-        Arc::new(InferenceService::deploy(hardware, calib.clone(), config, recorder.clone())?);
+        Arc::new(FleetService::deploy(networks, calib.clone(), fleet_config, recorder.clone())?);
     let handler = Arc::new(ServeHandler::new(
         Arc::clone(&service),
         flags.deadline_ms.map(Duration::from_millis),
@@ -781,8 +704,10 @@ fn run_infer(
     .map_err(|e| format!("cannot bind monitor port {}: {e}", flags.port))?;
     let addr = server.local_addr();
     println!(
-        "serving: POST http://{addr}/infer  GET /serve/stats  /serve/latency  \
-         /wear/attribution  /metrics  /health  /wear"
+        "serving {} replica(s) ({} router): POST http://{addr}/infer  GET /fleet  /serve/stats  \
+         /serve/latency  /wear/attribution  /metrics  /health  /wear",
+        flags.replicas,
+        flags.router.label(),
     );
 
     if flags.requests > 0 {
@@ -798,8 +723,9 @@ fn run_infer(
             }
         }
         recorder.message(&format!(
-            "self-load complete: {served} served, {failed} failed; stats: {}",
-            service.stats().to_json()
+            "self-load complete: {served} served, {failed} failed; stats: {}; fleet: {}",
+            service.stats_json(),
+            service.fleet_json()
         ));
     }
     if flags.requests == 0 || flags.linger {
@@ -813,16 +739,28 @@ fn run_infer(
     if let Ok(service) = Arc::try_unwrap(service) {
         let report = service.shutdown();
         recorder.message(&format!(
-            "serve report: {} admitted, {} served, {} rejected, {} expired, {} boundaries, \
-             {} remaps, {:.3e}s stress attributed",
+            "serve report: {} admitted, {} served, {} rejected, {} replica(s), \
+             wear imbalance (max/mean) {:.4}",
             report.admitted,
-            report.served,
+            report.served(),
             report.rejected_full,
-            report.expired,
-            report.boundaries,
-            report.remaps,
-            report.attribution.total(),
+            report.replicas.len(),
+            report.wear_imbalance(),
         ));
+        for r in &report.replicas {
+            recorder.message(&format!(
+                "  replica {}: {} routed, {} served, {} expired, {} boundaries, {} remaps, \
+                 {} retires, {:.3e}s stress attributed",
+                r.replica,
+                r.routed,
+                r.served,
+                r.expired,
+                r.boundaries,
+                r.remaps,
+                r.retires,
+                r.attribution.total(),
+            ));
+        }
     }
     if opts.metrics {
         if let Some(snapshot) = recorder.snapshot() {

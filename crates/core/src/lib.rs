@@ -75,10 +75,17 @@ pub use study::{run_study, StrategyStats, StudyReport};
 pub use memaging_crossbar as crossbar;
 pub use memaging_dataset as dataset;
 pub use memaging_device as device;
-pub use memaging_fleet as fleet;
 pub use memaging_lifetime as lifetime;
 pub use memaging_nn as nn;
 pub use memaging_obs as obs;
 pub use memaging_par as par;
 pub use memaging_serve as serve;
 pub use memaging_tensor as tensor;
+
+/// The replica fleet: `N` independent crossbar replicas behind the
+/// deterministic wear-balancing router. The fleet is the serving tier's
+/// one service ([`serve::FleetService`]); a single-replica deployment is
+/// its `N = 1` case ([`serve::InferenceService`]).
+pub mod fleet {
+    pub use memaging_serve::{FleetConfig, FleetReport, FleetService, ReplicaReport, RouterPolicy};
+}

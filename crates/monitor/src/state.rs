@@ -114,7 +114,7 @@ pub struct WearState {
     pub worst_velocity_per_session: Option<f64>,
     /// Worst-tile extrapolated sessions to the critical window.
     pub worst_sessions_to_critical: Option<f64>,
-    /// Most recent alerts, oldest first (capped at [`MAX_ALERTS`]).
+    /// Most recent alerts, oldest first (capped at `MAX_ALERTS`).
     pub alerts: Vec<AlertRecord>,
 }
 

@@ -1,10 +1,13 @@
-//! Serving-tier configuration.
+//! Serving configuration: the per-replica [`ServeConfig`], and the
+//! deployment-level [`FleetConfig`] with its replica count, router
+//! policy, per-replica stress heterogeneity and retire/rejoin thresholds.
 
 use memaging_lifetime::WearThresholds;
 
 use crate::error::ServeError;
 
-/// Configuration of the [`crate::InferenceService`].
+/// Per-replica serving configuration: admission, batching, maintenance and
+/// remap policy of one serving cell ([`FleetConfig::serve`]).
 ///
 /// The wear thresholds are the *shared* [`WearThresholds`] struct of the
 /// lifetime health forecaster — the live-remap trigger classifies the
@@ -154,6 +157,154 @@ impl ServeConfig {
     }
 }
 
+/// How the fleet router assigns admitted blocks to replicas. All three
+/// policies are deterministic functions of the admission sequence and of
+/// wear snapshots taken at maintenance boundaries — never of wall-clock
+/// time — so any policy replays bit-identically at any worker-thread
+/// count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouterPolicy {
+    /// Least-forecast-burn-rate: route each block to the active replica
+    /// with the lowest projected stress (its last published generation's
+    /// stress total plus its measured per-request burn rate times the
+    /// requests it would absorb), with a block-rotating tie-break. The
+    /// lifetime-maximizing policy.
+    WearBalance,
+    /// Rotate over active replicas by block index. The fairness baseline
+    /// the wear-imbalance gate compares against.
+    RoundRobin,
+    /// Stay on the current replica until it retires, then move to the
+    /// lowest-id active replica. The worst-case (no balancing) baseline.
+    Sticky,
+}
+
+impl RouterPolicy {
+    /// Parses a CLI `--router` value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for an unknown policy name.
+    pub fn parse(name: &str) -> Result<RouterPolicy, String> {
+        match name {
+            "wear" | "wear-balance" => Ok(RouterPolicy::WearBalance),
+            "round-robin" => Ok(RouterPolicy::RoundRobin),
+            "sticky" => Ok(RouterPolicy::Sticky),
+            other => Err(format!(
+                "unknown router policy `{other}` (expected wear, round-robin, or sticky)"
+            )),
+        }
+    }
+
+    /// The policy's stable wire label (`wear` / `round-robin` / `sticky`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            RouterPolicy::WearBalance => "wear",
+            RouterPolicy::RoundRobin => "round-robin",
+            RouterPolicy::Sticky => "sticky",
+        }
+    }
+}
+
+/// Configuration of a serving deployment ([`crate::FleetService`]):
+/// `replicas` independent serving cells (each a full [`ServeConfig`]
+/// deployment with its own wear ledger, forecaster, and background remap
+/// worker) behind one admission queue and a deterministic router. A
+/// single-replica deployment ([`crate::InferenceService`]) is
+/// `FleetConfig::new(1, serve)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetConfig {
+    /// Number of replicas (independent crossbar deployments).
+    pub replicas: usize,
+    /// Routing policy. CLI flag: `--router`.
+    pub router: RouterPolicy,
+    /// Per-replica multiplier on [`ServeConfig::stress_per_read`] —
+    /// physically, an endurance/temperature gradient across chips (no two
+    /// fabricated crossbars age identically). Empty means homogeneous
+    /// (all 1.0); otherwise the length must equal `replicas`.
+    pub stress_scale: Vec<f64>,
+    /// Retire trigger: when the hottest active replica's published worst
+    /// window fraction falls to or below this, the router drains it and
+    /// force-remaps it in the background while its siblings absorb the
+    /// traffic. `0.0` disables retiring. A replica is never retired while
+    /// it is the only active one.
+    pub retire_fraction: f64,
+    /// How many admission blocks a retiring replica sits out before
+    /// rejoining.
+    pub retire_blocks: u64,
+    /// Minimum blocks between two retires of the same replica (window
+    /// fractions are monotone hardware wear — a remap does not restore
+    /// them, so without a cooldown a hot replica would re-retire at every
+    /// block).
+    pub retire_cooldown_blocks: u64,
+    /// The per-replica serving configuration. `maintenance_interval` is
+    /// also the router's block quantum: each block of that many
+    /// consecutive admissions is routed whole to one replica, so a routed
+    /// block is exactly one local maintenance interval.
+    pub serve: ServeConfig,
+}
+
+impl FleetConfig {
+    /// A fleet of `replicas` cells with the wear-balancing router,
+    /// homogeneous stress, and retiring disabled.
+    pub fn new(replicas: usize, serve: ServeConfig) -> Self {
+        FleetConfig {
+            replicas,
+            router: RouterPolicy::WearBalance,
+            stress_scale: Vec::new(),
+            retire_fraction: 0.0,
+            retire_blocks: 4,
+            retire_cooldown_blocks: 16,
+            serve,
+        }
+    }
+
+    /// Validates the fleet-level ranges plus the embedded [`ServeConfig`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] with a field-specific reason.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if self.replicas == 0 {
+            return Err(ServeError::InvalidConfig { reason: "replicas must be nonzero".into() });
+        }
+        if !self.stress_scale.is_empty() && self.stress_scale.len() != self.replicas {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "stress_scale has {} entries for {} replicas",
+                    self.stress_scale.len(),
+                    self.replicas
+                ),
+            });
+        }
+        if self.stress_scale.iter().any(|s| !s.is_finite() || *s <= 0.0) {
+            return Err(ServeError::InvalidConfig {
+                reason: "stress_scale entries must be finite and > 0".into(),
+            });
+        }
+        if !self.retire_fraction.is_finite() || !(0.0..1.0).contains(&self.retire_fraction) {
+            return Err(ServeError::InvalidConfig {
+                reason: "retire_fraction must lie in [0, 1)".into(),
+            });
+        }
+        if self.retire_fraction > 0.0 && self.retire_blocks == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: "retire_blocks must be nonzero when retiring is enabled".into(),
+            });
+        }
+        self.serve.validate()
+    }
+
+    /// Replica `r`'s serving config: the shared [`ServeConfig`] with its
+    /// read-disturb stress scaled by `stress_scale[r]`.
+    pub fn replica_serve(&self, r: usize) -> ServeConfig {
+        let mut config = self.serve;
+        if let Some(scale) = self.stress_scale.get(r) {
+            config.stress_per_read *= scale;
+        }
+        config
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +340,47 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn router_policies_round_trip_through_labels() {
+        for policy in [RouterPolicy::WearBalance, RouterPolicy::RoundRobin, RouterPolicy::Sticky] {
+            assert_eq!(RouterPolicy::parse(policy.label()).unwrap(), policy);
+        }
+        assert_eq!(RouterPolicy::parse("wear-balance").unwrap(), RouterPolicy::WearBalance);
+        assert!(RouterPolicy::parse("random").unwrap_err().contains("unknown router policy"));
+    }
+
+    #[test]
+    fn default_fleet_config_validates() {
+        assert!(FleetConfig::new(4, ServeConfig::default()).validate().is_ok());
+    }
+
+    #[test]
+    fn bad_fleet_configs_are_rejected() {
+        let base = || FleetConfig::new(2, ServeConfig::default());
+        for bad in [
+            FleetConfig { replicas: 0, ..base() },
+            FleetConfig { stress_scale: vec![1.0], ..base() },
+            FleetConfig { stress_scale: vec![1.0, 0.0], ..base() },
+            FleetConfig { stress_scale: vec![1.0, f64::NAN], ..base() },
+            FleetConfig { retire_fraction: 1.0, ..base() },
+            FleetConfig { retire_fraction: -0.1, ..base() },
+            FleetConfig { retire_fraction: 0.5, retire_blocks: 0, ..base() },
+            FleetConfig { serve: ServeConfig { max_batch: 0, ..ServeConfig::default() }, ..base() },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn stress_scale_multiplies_per_replica_stress() {
+        let mut config = FleetConfig::new(2, ServeConfig::default());
+        config.serve.stress_per_read = 2.0;
+        config.stress_scale = vec![1.0, 1.5];
+        assert_eq!(config.replica_serve(0).stress_per_read, 2.0);
+        assert_eq!(config.replica_serve(1).stress_per_read, 3.0);
+        config.stress_scale.clear();
+        assert_eq!(config.replica_serve(1).stress_per_read, 2.0);
     }
 }

@@ -50,8 +50,8 @@ fn to_fixed(value: f64) -> u64 {
 }
 
 /// The serving tier's hardware side: crossbars, wear accounting, health
-/// forecasting, and the live-remap policy.
-pub struct ServeEngine {
+/// forecasting, and the live-remap policy — one per replica.
+pub(crate) struct ServeEngine {
     network: CrossbarNetwork,
     /// The deploy-time trained weight matrices. Every remap maps these,
     /// never the previous generation's quantized read-back, so the
@@ -79,11 +79,11 @@ pub struct ServeEngine {
     /// Highest severity the predictive burn-rate alert has fired at —
     /// escalate-once, like the health monitor's per-rule alert state.
     burn_severity: Option<AlertSeverity>,
-    /// Fleet replica id, `None` for a single-replica deployment. When set,
-    /// every per-hardware observation (series names, wear-checkpoint
-    /// causes, forecast gauges, the ledger itself) carries a
-    /// `replica{r}.` namespace so fleet streams can never alias tiles
-    /// across replicas.
+    /// Replica id, `None` for a single-replica deployment. When set, every
+    /// per-hardware observation (series names, wear-checkpoint causes,
+    /// forecast gauges, the ledger itself) carries a `replica{r}.`
+    /// namespace so the streams of several replicas can never alias
+    /// tiles.
     replica: Option<usize>,
     /// `""` or `"replica{r}."` — the obs namespace derived from `replica`.
     prefix: String,
@@ -92,33 +92,17 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Takes ownership of `network`, performs the initial aging-aware
     /// mapping against `calib`, and returns the engine plus the initial
-    /// generation (id 0) to publish.
+    /// generation (id 0) to publish. `replica` namespaces all
+    /// per-hardware observability (series, wear causes, forecast gauges,
+    /// the attribution ledger) as `replica{r}.`; a single-replica
+    /// deployment passes `None` and emits un-namespaced streams.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a bad config,
     /// [`ServeError::Internal`] when the initial mapping or read-back
     /// fails.
-    pub fn deploy(
-        network: CrossbarNetwork,
-        calib: Dataset,
-        config: ServeConfig,
-        recorder: Recorder,
-        stats: Arc<ServeStats>,
-    ) -> Result<(ServeEngine, Arc<MappingGeneration>), ServeError> {
-        ServeEngine::deploy_replica(network, calib, config, recorder, stats, None)
-    }
-
-    /// [`ServeEngine::deploy`] with an explicit fleet replica id: all
-    /// per-hardware observability (series, wear causes, forecast gauges,
-    /// the attribution ledger) is namespaced `replica{r}.`. `None` is the
-    /// single-replica path and produces byte-identical streams to the
-    /// pre-fleet engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServeEngine::deploy`].
-    pub fn deploy_replica(
+    pub(crate) fn deploy(
         mut network: CrossbarNetwork,
         calib: Dataset,
         config: ServeConfig,
@@ -185,13 +169,13 @@ impl ServeEngine {
     }
 
     /// The expected input dimension (features per request).
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         let (c, h, w) = self.calib.image_shape();
         c * h * w
     }
 
     /// A clone of the software network for worker contexts.
-    pub fn software_clone(&self) -> memaging_nn::Network {
+    pub(crate) fn software_clone(&self) -> memaging_nn::Network {
         self.network.software().clone()
     }
 
@@ -204,7 +188,7 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`ServeError::Internal`] when the hardware read-back fails.
-    pub fn boundary(
+    pub(crate) fn boundary(
         &mut self,
         id: u64,
         interval_requests: u64,
@@ -264,7 +248,12 @@ impl ServeEngine {
     /// to a `Critical` alert: the dispatcher is (or will be) waiting on
     /// generation `id`, so the previous weights are republished under it
     /// and serving continues on the stale mapping.
-    pub fn publish_boundary(&mut self, id: u64, interval_requests: u64, cell: &GenerationCell) {
+    pub(crate) fn publish_boundary(
+        &mut self,
+        id: u64,
+        interval_requests: u64,
+        cell: &GenerationCell,
+    ) {
         match self.boundary(id, interval_requests) {
             Ok(generation) => cell.publish(generation),
             Err(e) => {
@@ -293,7 +282,7 @@ impl ServeEngine {
     ///
     /// Returns whether a remap ran. A mapping failure is downgraded to an
     /// alert (the service keeps running on the active mapping).
-    pub fn maybe_remap(&mut self) -> bool {
+    pub(crate) fn maybe_remap(&mut self) -> bool {
         if !self.remap_armed {
             return false;
         }
@@ -333,12 +322,12 @@ impl ServeEngine {
         }
     }
 
-    /// Runs the aging-aware remap unconditionally — the fleet's retire
+    /// Runs the aging-aware remap unconditionally — the router's retire
     /// path: a retiring replica is drained of traffic and re-mapped in the
     /// background while its siblings absorb the load, regardless of
     /// whether the warn threshold armed the trigger. Same failure policy
     /// as [`ServeEngine::maybe_remap`].
-    pub fn force_remap(&mut self) -> bool {
+    pub(crate) fn force_remap(&mut self) -> bool {
         self.remap_armed = true;
         self.maybe_remap()
     }
@@ -353,32 +342,21 @@ impl ServeEngine {
         let weights = self.network.read_weights().map_err(internal)?;
         let worst_window_fraction =
             wear.iter().map(|tile| tile.mean_window_fraction).fold(1.0_f64, f64::min);
-        // Tile-order sum: the deterministic stress snapshot the fleet
-        // router differentiates for per-replica burn rates.
+        // Tile-order sum: the deterministic stress snapshot the router
+        // differentiates for per-replica burn rates.
         let total_stress = self.network.tile_stress().iter().sum();
-        Ok(Arc::new(MappingGeneration {
-            id,
-            weights,
-            worst_window_fraction,
-            total_stress,
-            remaps: self.remaps,
-        }))
+        Ok(Arc::new(MappingGeneration { id, weights, worst_window_fraction, total_stress }))
     }
 
     /// Consumes the engine, returning the final hardware state (for
     /// post-run wear assertions and reports).
-    pub fn into_network(self) -> CrossbarNetwork {
+    pub(crate) fn into_network(self) -> CrossbarNetwork {
         self.network
-    }
-
-    /// Cumulative live remaps performed so far.
-    pub fn remaps(&self) -> u64 {
-        self.remaps
     }
 
     /// A handle on the wear-attribution ledger (read side:
     /// `GET /wear/attribution` and the shutdown report).
-    pub fn ledger(&self) -> Arc<Mutex<WearLedger>> {
+    pub(crate) fn ledger(&self) -> Arc<Mutex<WearLedger>> {
         Arc::clone(&self.ledger)
     }
 
@@ -551,7 +529,8 @@ mod tests {
         };
         let stats = Arc::new(ServeStats::default());
         let (mut engine, _) =
-            ServeEngine::deploy(hardware, calib, config, Recorder::disabled(), stats).unwrap();
+            ServeEngine::deploy(hardware, calib, config, Recorder::disabled(), stats, None)
+                .unwrap();
         let deployed = weight_ranges(&engine.network);
         let mut remaps = 0;
         for id in 1..=boundaries {

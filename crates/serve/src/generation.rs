@@ -16,35 +16,52 @@ use memaging_tensor::Tensor;
 
 /// One published mapping generation.
 #[derive(Debug)]
-pub struct MappingGeneration {
+pub(crate) struct MappingGeneration {
     /// Generation id = maintenance-boundary index (requests with
     /// `seq / maintenance_interval == id` are served by this generation).
-    pub id: u64,
+    pub(crate) id: u64,
     /// Effective per-layer weight matrices read back from hardware.
-    pub weights: Vec<Tensor>,
+    pub(crate) weights: Vec<Tensor>,
     /// Worst per-layer mean window fraction at publish time (of fresh).
-    pub worst_window_fraction: f64,
+    pub(crate) worst_window_fraction: f64,
     /// Total accrued tile stress (seconds, summed in tile order) at
     /// read-back — the fleet router's deterministic wear snapshot: burn
     /// rates are differences of these totals across generations, never
     /// racy live reads.
-    pub total_stress: f64,
-    /// Cumulative live remaps performed before this generation was read.
-    pub remaps: u64,
+    pub(crate) total_stress: f64,
 }
 
 /// The atomically-swappable published generation, plus a condvar so the
 /// dispatcher can await a generation the maintenance task has not
-/// published yet.
+/// published yet. The cell is closed when its maintenance thread exits
+/// (normally or by unwinding), so a waiter never blocks on a generation
+/// that nothing will publish.
 #[derive(Debug, Default)]
-pub struct GenerationCell {
-    current: Mutex<Option<Arc<MappingGeneration>>>,
+pub(crate) struct GenerationCell {
+    state: Mutex<CellState>,
     published: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct CellState {
+    current: Option<Arc<MappingGeneration>>,
+    closed: bool,
+}
+
+/// Closes its [`GenerationCell`] when dropped; see
+/// [`GenerationCell::close_on_drop`].
+pub(crate) struct CloseOnDrop<'a>(&'a GenerationCell);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.published.notify_all();
+    }
+}
+
 impl GenerationCell {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<MappingGeneration>>> {
-        self.current.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, CellState> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Atomically swaps in `generation` and wakes every waiter.
@@ -54,9 +71,9 @@ impl GenerationCell {
     /// Panics if the generation id does not increase monotonically — a
     /// maintenance-protocol bug that would break the seq→generation
     /// determinism contract.
-    pub fn publish(&self, generation: Arc<MappingGeneration>) {
-        let mut current = self.lock();
-        if let Some(prior) = current.as_ref() {
+    pub(crate) fn publish(&self, generation: Arc<MappingGeneration>) {
+        let mut state = self.lock();
+        if let Some(prior) = state.current.as_ref() {
             assert!(
                 generation.id > prior.id,
                 "generation ids must increase: {} after {}",
@@ -64,29 +81,38 @@ impl GenerationCell {
                 prior.id
             );
         }
-        *current = Some(generation);
-        drop(current);
+        state.current = Some(generation);
+        drop(state);
         self.published.notify_all();
     }
 
     /// The currently published generation (`None` before the first
     /// publish).
-    pub fn current(&self) -> Option<Arc<MappingGeneration>> {
-        self.lock().clone()
+    pub(crate) fn current(&self) -> Option<Arc<MappingGeneration>> {
+        self.lock().current.clone()
+    }
+
+    /// A guard that closes the cell when dropped — held by the maintenance
+    /// loop, the cell's only publisher, so the cell closes however that
+    /// loop ends.
+    pub(crate) fn close_on_drop(&self) -> CloseOnDrop<'_> {
+        CloseOnDrop(self)
     }
 
     /// Blocks until a generation with `id >= wanted` is published and
-    /// returns it.
-    pub fn wait_for(&self, wanted: u64) -> Arc<MappingGeneration> {
-        let mut current = self.lock();
+    /// returns it, or returns `None` once the cell is closed without one.
+    pub(crate) fn wait_for(&self, wanted: u64) -> Option<Arc<MappingGeneration>> {
+        let mut state = self.lock();
         loop {
-            if let Some(generation) = current.as_ref() {
+            if let Some(generation) = state.current.as_ref() {
                 if generation.id >= wanted {
-                    return Arc::clone(generation);
+                    return Some(Arc::clone(generation));
                 }
             }
-            current =
-                self.published.wait(current).unwrap_or_else(std::sync::PoisonError::into_inner);
+            if state.closed {
+                return None;
+            }
+            state = self.published.wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
@@ -101,7 +127,6 @@ mod tests {
             weights: Vec::new(),
             worst_window_fraction: 1.0,
             total_stress: 0.0,
-            remaps: 0,
         })
     }
 
@@ -109,15 +134,37 @@ mod tests {
     fn wait_for_blocks_until_published() {
         let cell = Arc::new(GenerationCell::default());
         cell.publish(generation(0));
-        assert_eq!(cell.wait_for(0).id, 0);
+        assert_eq!(cell.wait_for(0).unwrap().id, 0);
         let waiter = {
             let cell = Arc::clone(&cell);
-            std::thread::spawn(move || cell.wait_for(2).id)
+            std::thread::spawn(move || cell.wait_for(2).unwrap().id)
         };
         cell.publish(generation(1));
         cell.publish(generation(2));
         assert_eq!(waiter.join().unwrap(), 2);
         assert_eq!(cell.current().unwrap().id, 2);
+    }
+
+    #[test]
+    fn a_waiter_on_a_closed_cell_returns() {
+        let cell = Arc::new(GenerationCell::default());
+        cell.publish(generation(0));
+        let waiter = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || cell.wait_for(1).map(|g| g.id))
+        };
+        // The publisher unwinds without publishing generation 1.
+        let publisher = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || {
+                let _close = cell.close_on_drop();
+                panic!("maintenance died");
+            })
+        };
+        assert!(publisher.join().is_err());
+        assert_eq!(waiter.join().unwrap(), None, "the waiter is released, not hung");
+        // What was published before the close is still served.
+        assert_eq!(cell.wait_for(0).unwrap().id, 0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! timing, batching, or worker count.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ use crate::trace::RequestCtx;
 
 /// One admitted request as the dispatcher sees it.
 #[derive(Debug)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Global admission sequence number (0-based).
     pub seq: u64,
     /// The input feature vector.
@@ -40,21 +39,21 @@ pub struct Entry {
 
 /// The rendezvous a client blocks on while its request is in flight.
 #[derive(Debug, Default)]
-pub struct ResponseSlot {
+pub(crate) struct ResponseSlot {
     outcome: Mutex<Option<Result<InferResponse, ServeError>>>,
     ready: Condvar,
 }
 
 impl ResponseSlot {
     /// Delivers the outcome and wakes the waiting client.
-    pub fn deliver(&self, outcome: Result<InferResponse, ServeError>) {
+    pub(crate) fn deliver(&self, outcome: Result<InferResponse, ServeError>) {
         let mut guard = self.outcome.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *guard = Some(outcome);
         self.ready.notify_all();
     }
 
     /// Blocks until the outcome is delivered.
-    pub fn wait(&self) -> Result<InferResponse, ServeError> {
+    pub(crate) fn wait(&self) -> Result<InferResponse, ServeError> {
         let mut guard = self.outcome.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
             if let Some(outcome) = guard.take() {
@@ -70,12 +69,15 @@ impl ResponseSlot {
 struct QueueState {
     entries: VecDeque<Entry>,
     next_seq: u64,
+    /// Requests rejected at admission because the queue was full.
+    rejected_full: u64,
     closed: bool,
 }
 
-/// The bounded MPSC admission queue.
+/// The bounded MPSC admission queue — also the deployment's one source of
+/// admission counts ([`RequestQueue::admission`]).
 #[derive(Debug)]
-pub struct RequestQueue {
+pub(crate) struct RequestQueue {
     state: Mutex<QueueState>,
     /// Signalled when an entry arrives or the queue closes.
     arrived: Condvar,
@@ -84,7 +86,7 @@ pub struct RequestQueue {
 
 impl RequestQueue {
     /// An empty queue admitting at most `capacity` in-flight requests.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RequestQueue { state: Mutex::new(QueueState::default()), arrived: Condvar::new(), capacity }
     }
 
@@ -99,7 +101,7 @@ impl RequestQueue {
     ///
     /// [`ServeError::QueueFull`] at capacity, [`ServeError::Shutdown`]
     /// after close.
-    pub fn admit(
+    pub(crate) fn admit(
         &self,
         input: Vec<f32>,
         deadline: Option<Instant>,
@@ -110,6 +112,7 @@ impl RequestQueue {
             return Err(ServeError::Shutdown);
         }
         if state.entries.len() >= self.capacity {
+            state.rejected_full += 1;
             return Err(ServeError::QueueFull { capacity: self.capacity });
         }
         let seq = state.next_seq;
@@ -126,22 +129,18 @@ impl RequestQueue {
         Ok(seq)
     }
 
-    /// One client's blocking round trip, shared by the single-replica
-    /// service and the fleet: validates the input against `input_dim`
-    /// (before admission, so a malformed request consumes no sequence
-    /// number), admits it — counting the admission or the queue-full
-    /// rejection — and parks on its response slot.
+    /// One client's blocking round trip: validates the input against
+    /// `input_dim` (before admission, so a malformed request consumes no
+    /// sequence number), admits it, and parks on its response slot.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadInput`] for a malformed payload, else whatever
     /// admission or dispatch answers.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         request: InferRequest,
         input_dim: usize,
-        admitted: &AtomicU64,
-        rejected_full: &AtomicU64,
         recorder: &Recorder,
     ) -> Result<InferResponse, ServeError> {
         let features = request.input.len();
@@ -155,12 +154,7 @@ impl RequestQueue {
         }
         let slot = Arc::new(ResponseSlot::default());
         let deadline = request.deadline.map(|d| Instant::now() + d);
-        let seq = self.admit(request.input, deadline, Arc::clone(&slot)).inspect_err(|e| {
-            if matches!(e, ServeError::QueueFull { .. }) {
-                rejected_full.fetch_add(1, Ordering::Relaxed);
-            }
-        })?;
-        admitted.fetch_add(1, Ordering::Relaxed);
+        let seq = self.admit(request.input, deadline, Arc::clone(&slot))?;
         // The root span of the request's trace chain: admission → delivery,
         // stamped with the trace id every downstream span carries.
         let _span = recorder.trace_span("serve.request", seq);
@@ -169,7 +163,7 @@ impl RequestQueue {
 
     /// Blocks until an entry is available (returning it) or the queue is
     /// closed *and* drained (returning `None`).
-    pub fn pop_blocking(&self) -> Option<Entry> {
+    pub(crate) fn pop_blocking(&self) -> Option<Entry> {
         let mut state = self.lock();
         loop {
             if let Some(entry) = state.entries.pop_front() {
@@ -187,27 +181,30 @@ impl RequestQueue {
     /// cross a maintenance boundary" guard — appending them to `batch`
     /// until it holds `max` entries. Entries are popped in sequence order,
     /// so the drain stops at the first one at or past the boundary.
-    pub fn drain_below(&self, below_seq: u64, max: usize, batch: &mut Vec<Entry>) {
+    pub(crate) fn drain_below(&self, below_seq: u64, max: usize, batch: &mut Vec<Entry>) {
         let room = max.saturating_sub(batch.len());
         let mut state = self.lock();
         let take = state.entries.iter().take(room).take_while(|e| e.seq < below_seq).count();
         batch.extend(state.entries.drain(..take));
     }
 
-    /// Total requests admitted so far (= the next sequence number).
-    pub fn admitted(&self) -> u64 {
-        self.lock().next_seq
+    /// `(admitted, rejected_full)`: requests admitted so far (= the next
+    /// sequence number) and requests rejected because the queue was full.
+    pub(crate) fn admission(&self) -> (u64, u64) {
+        let state = self.lock();
+        (state.next_seq, state.rejected_full)
     }
 
     /// Current queue depth.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         self.lock().entries.len()
     }
 
     /// Closes admission: future [`RequestQueue::admit`] calls fail with
     /// [`ServeError::Shutdown`]; queued entries remain poppable so the
     /// dispatcher can drain them.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.arrived.notify_all();
     }
@@ -225,6 +222,7 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         let err = q.admit(vec![3.0], None, Arc::new(ResponseSlot::default())).unwrap_err();
         assert_eq!(err, ServeError::QueueFull { capacity: 2 });
+        assert_eq!(q.admission(), (2, 1), "the rejection is counted, not admitted");
         // Rejection consumed no sequence number, and the trace id is the
         // admission sequence number.
         let popped = q.pop_blocking().unwrap();

@@ -1,12 +1,11 @@
-//! Batch formation and worker-pool dispatch, shared by the
-//! single-replica dispatcher ([`crate::InferenceService`]) and the fleet
-//! router (`memaging-fleet`). Batch formation is work-conserving
-//! ([`form_batch`]): it takes what is already queued and never waits.
+//! Batch formation and worker-pool dispatch for the router's dispatch
+//! loop. Batch formation is work-conserving ([`form_batch`]): it takes
+//! what is already queued and never waits.
 //!
 //! A [`WorkerCtx`] is one worker's persistent software-network clone,
 //! lazily re-synced to the `(replica, generation)` a batch is served
-//! from. The sync key carries the replica id because a fleet worker slot
-//! serves batches from *different* replicas back to back: two replicas'
+//! from. The sync key carries the replica id because a worker slot serves
+//! batches from *different* replicas back to back: two replicas'
 //! generations can share an id while holding different weights, so the
 //! generation id alone would serve stale bytes.
 //!
@@ -29,11 +28,10 @@ use crate::queue::{Entry, RequestQueue};
 use crate::request::InferResponse;
 use crate::stats::ServeStats;
 
-/// Declares the serving tier's Prometheus histograms on `recorder` — the
-/// one set shared by the single-replica service and the fleet (request
-/// latency is a tier-wide property; per-replica latency lives in each
-/// replica's [`ServeStats`]).
-pub fn declare_serve_histograms(recorder: &Recorder) {
+/// Declares the serving tier's Prometheus histograms on `recorder` — one
+/// set per deployment (request latency is a tier-wide property;
+/// per-replica latency lives in each replica's [`ServeStats`]).
+pub(crate) fn declare_serve_histograms(recorder: &Recorder) {
     recorder.declare_histogram(
         "serve.queue_wait_us",
         &[100.0, 500.0, 1_000.0, 5_000.0, 20_000.0, 100_000.0, 500_000.0],
@@ -61,7 +59,7 @@ pub fn declare_serve_histograms(recorder: &Recorder) {
 /// (rebuilt at each resync — a pure function of the weight bits, so every
 /// worker's snapshot of one generation is bit-identical) and the
 /// integer-forward scratch.
-pub struct WorkerCtx {
+pub(crate) struct WorkerCtx {
     network: Network,
     /// `(replica, generation id)` the weights are synced to.
     synced: (usize, u64),
@@ -75,7 +73,7 @@ pub struct WorkerCtx {
 
 impl WorkerCtx {
     /// A fresh, not-yet-synced context over a clone of `base`.
-    pub fn new(base: &Network, quantized: bool) -> Self {
+    pub(crate) fn new(base: &Network, quantized: bool) -> Self {
         WorkerCtx {
             network: base.clone(),
             synced: (usize::MAX, u64::MAX),
@@ -92,11 +90,8 @@ impl WorkerCtx {
 /// maintenance boundary), up to `max_batch`, under one queue lock — and
 /// never waits for more. A lone request is dispatched at once; requests
 /// that queued while the previous batch was in flight ride together.
-/// Returns the batch and its formation time in microseconds. Both the
-/// serve dispatcher and the fleet router form batches through this exact
-/// routine, which is what makes a 1-replica fleet operation-for-operation
-/// identical to the single-replica service.
-pub fn form_batch(
+/// Returns the batch and its formation time in microseconds.
+pub(crate) fn form_batch(
     queue: &RequestQueue,
     first: Entry,
     boundary_seq: u64,
@@ -121,7 +116,7 @@ pub fn form_batch(
 /// per remap) runs before the span opens, and delivery / accounting run
 /// after it closes.
 #[allow(clippy::too_many_arguments)]
-pub fn dispatch_batch(
+pub(crate) fn dispatch_batch(
     batch: Vec<Entry>,
     replica: usize,
     generation: &MappingGeneration,

@@ -231,9 +231,9 @@ fn single_replica_fleet_matches_the_inference_service_byte_for_byte() {
         (replica.boundaries, replica.remaps),
         (serve_report.boundaries, serve_report.remaps)
     );
-    // The fleet ledger is the same account under a replica label: entries
-    // and per-tile attribution match exactly, only the namespace differs.
-    assert_eq!(replica.attribution.replica(), Some(0));
+    // A one-replica deployment is not namespaced: its ledger is the same
+    // account, entries and per-tile attribution match exactly.
+    assert_eq!(replica.attribution.replica(), None);
     assert_eq!(replica.attribution.entries(), serve_report.attribution.entries());
     assert_eq!(replica.attribution.attributed(), serve_report.attribution.attributed());
     par::set_threads(0);
@@ -359,6 +359,45 @@ fn fleet_is_pinned_bit_for_bit() {
         let retires: u64 = report.replicas.iter().map(|r| r.retires).sum();
         assert!(retires >= 1, "the schedule must retire a replica (got {retires})");
         assert_eq!(hash, PINNED, "fleet digest moved at {threads} threads: {hash:#018x}");
+    }
+    par::set_threads(0);
+}
+
+/// The HTTP bodies of a one-replica deployment keep the single-service
+/// shape (admission counts head the replica's stats fields; latency and
+/// attribution are the replica's own documents, un-namespaced), and with
+/// several replicas the admission counts appear once, above per-replica
+/// rows that no longer carry a zeroed pair of their own.
+#[test]
+fn http_bodies_keep_the_single_replica_shape() {
+    let _guard = THREAD_KNOB.lock().unwrap_or_else(|poison| poison.into_inner());
+    par::set_threads(1);
+    let total = 40;
+    let calib = &trained().1;
+    for replicas in [1usize, 2] {
+        let service = deploy_fleet(FleetConfig::new(replicas, serve_config(total)));
+        for k in 0..total {
+            service.infer(InferRequest::new(sample(calib, k))).expect("served");
+        }
+        let stats = service.stats_json();
+        assert!(stats.starts_with(&format!("{{\"admitted\":{total},\"rejected_full\":0,")));
+        assert_eq!(stats.matches("\"admitted\"").count(), 1, "{stats}");
+        let fleet = service.fleet_json();
+        assert_eq!(fleet.matches("\"replica\":").count(), replicas, "{fleet}");
+        if replicas == 1 {
+            let only = service.replica_stats(0).expect("replica 0");
+            assert!(stats.contains(",\"expired\":0,\"served\":"), "{stats}");
+            assert!(!stats.contains("\"replicas\""), "{stats}");
+            assert_eq!(service.latency_json(), only.latency_json());
+            let attribution = service.wear_attribution_json();
+            assert!(attribution.starts_with("{\"tiles\":"), "{attribution}");
+        } else {
+            assert!(stats.contains("\"replicas\":[{\"replica\":0,\"stats\":{\"expired\":"));
+            assert!(service.latency_json().starts_with("{\"replicas\":[{\"replica\":0,"));
+            let attribution = service.wear_attribution_json();
+            assert!(attribution.starts_with("{\"replicas\":[{\"replica\":0,\"tiles\":"));
+        }
+        service.shutdown();
     }
     par::set_threads(0);
 }
