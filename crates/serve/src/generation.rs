@@ -25,7 +25,7 @@ pub(crate) struct MappingGeneration {
     /// Worst per-layer mean window fraction at publish time (of fresh).
     pub(crate) worst_window_fraction: f64,
     /// Total accrued tile stress (seconds, summed in tile order) at
-    /// read-back — the fleet router's deterministic wear snapshot: burn
+    /// read-back — the router's deterministic wear snapshot: burn
     /// rates are differences of these totals across generations, never
     /// racy live reads.
     pub(crate) total_stress: f64,

@@ -201,11 +201,13 @@ impl FleetService {
         let mut rts = Vec::with_capacity(config.replicas);
         let mut base: Option<Network> = None;
         let mut input_dim = 0;
-        for (r, network) in networks.into_iter().enumerate() {
+        // The last replica takes `calib` itself, so one replica copies nothing.
+        let calibs = std::iter::repeat_n(calib, config.replicas);
+        for (r, (network, calib)) in networks.into_iter().zip(calibs).enumerate() {
             let stats = Arc::new(ServeStats::with_buckets(config.serve.latency_buckets));
             let (engine, initial) = ServeEngine::deploy(
                 network,
-                calib.clone(),
+                calib,
                 config.replica_serve(r),
                 recorder.clone(),
                 Arc::clone(&stats),
